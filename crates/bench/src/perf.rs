@@ -240,10 +240,10 @@ pub fn median_us(samples: &[u64]) -> u64 {
 /// across repeats) plus every timed repeat's wall clock.
 ///
 /// The timed wall covers the **full run** — world construction (topology
-/// build, audibility oracle, link-cache setup) plus the event loop — not
-/// just the engine's own `RunStats::wall`. At swarm node counts the
-/// construction phase is where the spatial index pays off hardest (the
-/// unindexed audibility oracle is O(N²)), and a metric that ignored it
+/// build, the link-row build behind the neighbour tables) plus the event
+/// loop — not just the engine's own `RunStats::wall`. At swarm node counts
+/// the construction phase is where the spatial index pays off hardest (the
+/// unindexed row build is O(N²)), and a metric that ignored it
 /// would miss exactly the regressions the swarm cells exist to catch.
 #[derive(Debug, Clone)]
 pub struct PathTiming {

@@ -102,15 +102,16 @@ pub struct SimConfig {
     /// link budget from positions — the slow reference path the golden-trace
     /// suite compares against. Both paths produce bit-identical runs.
     pub fastpath: bool,
-    /// When `true` (the default), the fast path's link-budget cache carries
-    /// a uniform spatial grid (cells sized from the channel's detection
-    /// radius, incrementally re-binned on mobility ticks) so each row build
-    /// visits only candidate-neighbour cells instead of all N nodes. The
-    /// grid only skips receivers the cache's distance cull would provably
-    /// reject, so runs are bit-identical with it on or off; the flag exists
-    /// for the perf harness and the swarm golden-trace suite, which compare
-    /// the two. Ignored (no grid is built) on the reference path or when the
-    /// PER model admits no detection radius.
+    /// When `true` (the default), the link-budget cache carries a uniform
+    /// spatial grid (cells sized from the channel's detection radius,
+    /// incrementally re-binned on mobility ticks) so each row build — the
+    /// construction-time rows behind the neighbour tables and the fast
+    /// path's fan-out rows — visits only candidate-neighbour cells instead
+    /// of all N nodes. The grid only skips receivers the cache's distance
+    /// cull would provably reject, so runs are bit-identical with it on or
+    /// off; the flag exists for the perf harness and the swarm golden-trace
+    /// suite, which compare the two. Ignored (no grid is built) when the PER
+    /// model admits no detection radius.
     pub spatial_index: bool,
     /// Per-node clock model. [`ClockModelConfig::ideal`] (the default)
     /// reproduces the paper's perfect-synchronization assumption: no RNG

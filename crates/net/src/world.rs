@@ -22,7 +22,6 @@ use uasn_phy::cache::LinkBudgetCache;
 use uasn_phy::channel::AcousticChannel;
 use uasn_phy::energy::EnergyMeter;
 use uasn_phy::geometry::Point;
-use uasn_phy::grid::SpatialGrid;
 use uasn_phy::mobility::MobilityModel;
 use uasn_phy::modem::{Modem, ModemSpec, ModemState, ReceptionId};
 use uasn_phy::soa::{PositionSource, PositionTable};
@@ -226,8 +225,10 @@ struct NetworkWorld {
     clock: SlotClock,
     spec: ModemSpec,
     channel: AcousticChannel,
-    /// Memoized per-transmitter fan-out rows (consulted only when
-    /// `cfg.fastpath`; invalidated by mobility ticks).
+    /// Memoized per-transmitter link rows: every row is built once in
+    /// `Simulation::new` for the neighbour tables, then replayed by the
+    /// fast fan-out and degree queries until a mobility tick invalidates
+    /// it. The reference path (`cfg.fastpath = false`) never reads it.
     link_cache: LinkBudgetCache,
     now: SimTime,
 
@@ -1649,41 +1650,31 @@ impl Simulation {
             .map(|i| Some(factory(NodeId::new(i as u32))))
             .collect();
 
-        // Oracle neighbour installation (the Hello phase). With the spatial
-        // index enabled the scan visits only the transmitter's 27-cell
-        // neighbourhood; candidates come back in ascending node order and
-        // every one still passes the exact `is_audible` check, so the
-        // installed tables are identical to the full O(N) scan's.
+        // Oracle neighbour installation (the Hello phase). Every node's
+        // link row is built exactly once, through the same cache the fast
+        // fan-out replays: the squared-distance cull, the exact audibility
+        // check and the propagation delay in ascending receiver order. The
+        // one-hop tables, the two-hop views (each neighbour's own row) and
+        // the hello sizes are all read from those rows. With the spatial
+        // index on, a row build visits only the 27-cell neighbourhood;
+        // every node it skips is provably inaudible, so the rows match the
+        // full O(N) scan's exactly.
         let channel = cfg.channel.clone();
-        let oracle_grid: Option<SpatialGrid> = if cfg.spatial_index {
-            channel
-                .index_cell_m()
-                .map(|cell| SpatialGrid::build(cell, positions.as_slice()))
+        let positions = PositionTable::from_points(&positions);
+        let mut link_cache = if cfg.spatial_index {
+            LinkBudgetCache::with_index(&channel, &positions)
         } else {
-            None
+            LinkBudgetCache::new(&channel, n)
         };
-        let audible_with_delays = |i: usize| -> Vec<(NodeId, SimDuration)> {
-            let link = |j: usize| {
-                (
-                    NodeId::new(j as u32),
-                    channel.propagation_delay(positions[i], positions[j]),
-                )
-            };
-            match &oracle_grid {
-                Some(grid) => {
-                    let mut cand = Vec::new();
-                    grid.candidates_into(positions[i], &mut cand);
-                    cand.iter()
-                        .map(|&j| j as usize)
-                        .filter(|&j| j != i && channel.is_audible(positions[i], positions[j]))
-                        .map(link)
-                        .collect()
-                }
-                None => (0..n)
-                    .filter(|&j| j != i && channel.is_audible(positions[i], positions[j]))
-                    .map(link)
-                    .collect(),
-            }
+        for i in 0..n {
+            link_cache.ensure_row(&channel, &positions, i);
+        }
+        let table = |i: usize| -> Vec<(NodeId, SimDuration)> {
+            link_cache
+                .row(i)
+                .iter()
+                .map(|link| (NodeId::new(link.rx), link.delay))
+                .collect()
         };
         let mut maintenance = Vec::with_capacity(n);
         let mut metrics = DeliveryMetrics::new(n);
@@ -1694,31 +1685,24 @@ impl Simulation {
             let mac = macs[i].as_mut().expect("just built");
             let profile = mac.maintenance();
             maintenance.push(profile);
-            let one_hop = audible_with_delays(i);
-            match profile.scope {
-                NeighborInfoScope::None => {}
-                NeighborInfoScope::OneHop => {
-                    mac.install_neighbors(&one_hop);
-                    let init_bits =
-                        cfg.control_bits as u64 + one_hop.len() as u64 * ANNOUNCE_BITS_PER_ENTRY;
-                    metrics.per_node[i].maintenance_bits += init_bits;
-                    meters[i].charge_maintenance_bits(init_bits);
-                }
-                NeighborInfoScope::TwoHop => {
-                    mac.install_neighbors(&one_hop);
-                    let two_hop: Vec<(NodeId, Vec<(NodeId, SimDuration)>)> = one_hop
-                        .iter()
-                        .map(|&(j, _)| (j, audible_with_delays(j.index())))
-                        .collect();
-                    mac.install_two_hop(&two_hop);
-                    // The node transmits one hello plus its own table; the
-                    // two-hop view is assembled from neighbours' announcements.
-                    let init_bits =
-                        cfg.control_bits as u64 + one_hop.len() as u64 * ANNOUNCE_BITS_PER_ENTRY;
-                    metrics.per_node[i].maintenance_bits += init_bits;
-                    meters[i].charge_maintenance_bits(init_bits);
-                }
+            if profile.scope == NeighborInfoScope::None {
+                continue;
             }
+            let one_hop = table(i);
+            mac.install_neighbors(&one_hop);
+            if profile.scope == NeighborInfoScope::TwoHop {
+                let two_hop: Vec<(NodeId, Vec<(NodeId, SimDuration)>)> = one_hop
+                    .iter()
+                    .map(|&(j, _)| (j, table(j.index())))
+                    .collect();
+                mac.install_two_hop(&two_hop);
+            }
+            // The node transmits one hello plus its own table; a two-hop
+            // view is assembled from the neighbours' announcements.
+            let init_bits =
+                cfg.control_bits as u64 + one_hop.len() as u64 * ANNOUNCE_BITS_PER_ENTRY;
+            metrics.per_node[i].maintenance_bits += init_bits;
+            meters[i].charge_maintenance_bits(init_bits);
         }
 
         // Clock-model wiring. Under the (default) ideal model nothing here
@@ -1779,15 +1763,6 @@ impl Simulation {
             cfg: rc,
         });
 
-        let positions = PositionTable::from_points(&positions);
-        // The fan-out cache only consults the index on the fast path; the
-        // reference path keeps its plain O(N) scan as the differential
-        // baseline, so it never builds one.
-        let link_cache = if cfg.fastpath && cfg.spatial_index {
-            LinkBudgetCache::with_index(&channel, &positions)
-        } else {
-            LinkBudgetCache::new(&channel, n)
-        };
         let mut world = NetworkWorld {
             clock,
             spec,
@@ -2769,5 +2744,219 @@ mod tests {
             .fields
             .iter()
             .any(|(k, _)| k.as_ref() == "clock_error_us"));
+    }
+
+    /// One node's one-hop table: `(neighbour, propagation delay)`.
+    type Table = Vec<(NodeId, SimDuration)>;
+
+    /// Brute-force reference for the oracle neighbour tables: full
+    /// `is_audible` plus `propagation_delay` over the spatial-grid
+    /// candidates (when the config indexes and the PER model has a
+    /// detection radius) or over all nodes, with no cache involved.
+    fn brute_force_tables(cfg: &SimConfig, positions: &[Point]) -> Vec<Table> {
+        use uasn_phy::grid::SpatialGrid;
+        let channel = &cfg.channel;
+        let grid = if cfg.spatial_index {
+            channel
+                .index_cell_m()
+                .map(|cell| SpatialGrid::build(cell, positions))
+        } else {
+            None
+        };
+        (0..positions.len())
+            .map(|i| {
+                let candidates: Vec<usize> = match &grid {
+                    Some(grid) => {
+                        let mut cand = Vec::new();
+                        grid.candidates_into(positions[i], &mut cand);
+                        cand.into_iter().map(|j| j as usize).collect()
+                    }
+                    None => (0..positions.len()).collect(),
+                };
+                candidates
+                    .into_iter()
+                    .filter(|&j| j != i && channel.is_audible(positions[i], positions[j]))
+                    .map(|j| {
+                        (
+                            NodeId::new(j as u32),
+                            channel.propagation_delay(positions[i], positions[j]),
+                        )
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// What `Simulation::new` handed one node's MAC.
+    #[derive(Debug, Default, Clone, PartialEq)]
+    struct Installed {
+        neighbors: Option<Table>,
+        two_hop: Option<Vec<(NodeId, Table)>>,
+    }
+
+    type InstallLog = std::rc::Rc<std::cell::RefCell<Vec<Installed>>>;
+
+    /// A MAC that only records the tables installed into it.
+    #[derive(Debug)]
+    struct RecordingMac {
+        me: usize,
+        scope: NeighborInfoScope,
+        log: InstallLog,
+    }
+
+    impl RecordingMac {
+        fn entry(&self) -> std::cell::RefMut<'_, Installed> {
+            std::cell::RefMut::map(self.log.borrow_mut(), |log| {
+                if log.len() <= self.me {
+                    log.resize(self.me + 1, Installed::default());
+                }
+                &mut log[self.me]
+            })
+        }
+    }
+
+    impl MacProtocol for RecordingMac {
+        fn name(&self) -> &'static str {
+            "RECORD"
+        }
+        fn maintenance(&self) -> MaintenanceProfile {
+            MaintenanceProfile {
+                scope: self.scope,
+                ..MaintenanceProfile::none()
+            }
+        }
+        fn install_neighbors(&mut self, neighbors: &[(NodeId, SimDuration)]) {
+            let mut entry = self.entry();
+            assert!(entry.neighbors.is_none(), "one-hop table installed twice");
+            entry.neighbors = Some(neighbors.to_vec());
+        }
+        fn install_two_hop(&mut self, tables: &[(NodeId, Vec<(NodeId, SimDuration)>)]) {
+            let mut entry = self.entry();
+            assert!(entry.two_hop.is_none(), "two-hop view installed twice");
+            entry.two_hop = Some(tables.to_vec());
+        }
+        fn on_slot_start(&mut self, _ctx: &mut MacContext<'_>, _slot: SlotIndex) {}
+        fn on_enqueue(&mut self, _ctx: &mut MacContext<'_>, _sdu: Sdu) {}
+        fn on_frame_received(&mut self, _ctx: &mut MacContext<'_>, _rx: &Reception<'_>) {}
+        fn queue_len(&self) -> usize {
+            0
+        }
+    }
+
+    /// Builds `cfg` with recording MACs of `scope`; returns the simulation
+    /// and what each node's MAC was given.
+    fn build_recorded(cfg: SimConfig, scope: NeighborInfoScope) -> (Simulation, Vec<Installed>) {
+        let log = InstallLog::default();
+        let factory = |id: NodeId| -> Box<dyn MacProtocol> {
+            Box::new(RecordingMac {
+                me: id.index(),
+                scope,
+                log: log.clone(),
+            })
+        };
+        let sim = Simulation::new(cfg, &factory).expect("builds");
+        let mut installed = log.borrow().clone();
+        installed.resize(sim.world.node_count(), Installed::default());
+        (sim, installed)
+    }
+
+    /// A layered column at the swarm cells' per-layer density, small
+    /// enough for the brute-force oracle, with `channel` swapped in.
+    fn oracle_cfg(sensors: u32, channel: AcousticChannel) -> SimConfig {
+        let mut cfg = SimConfig {
+            sensors,
+            sinks: 4,
+            channel,
+            ..SimConfig::paper_default()
+        };
+        cfg.deployment = crate::topology::Deployment::LayeredColumn {
+            extent_m: 20_000.0 * (sensors as f64 / 10_000.0).sqrt(),
+            layers: 10,
+            layer_spacing_m: 450.0,
+        };
+        cfg
+    }
+
+    #[test]
+    fn oracle_tables_match_brute_force_scan() {
+        use uasn_phy::per::{Modulation, PerModel};
+        let paper = AcousticChannel::paper_default();
+        let with_per = |per: PerModel| {
+            AcousticChannel::new(*paper.sound(), *paper.budget(), per, paper.max_range_m())
+        };
+        let snr = with_per(PerModel::SnrThreshold {
+            threshold_db: paper.budget().snr_db(1_400.0),
+        });
+        let modulation = with_per(PerModel::Modulation {
+            scheme: Modulation::NcFsk,
+            bandwidth_over_bitrate: 1.0,
+        });
+        assert!(snr.index_cell_m().is_some());
+        assert_eq!(modulation.detection_radius_m(), None);
+        let worlds = [
+            ("range-cutoff", oracle_cfg(300, paper.clone())),
+            ("snr-threshold", oracle_cfg(300, snr)),
+            // No cull radius: every pair is audible, so keep it small.
+            ("modulation", oracle_cfg(40, modulation)),
+            ("mobile", oracle_cfg(300, paper.clone()).with_mobility(1.0)),
+        ];
+        for (name, base) in worlds {
+            for indexed in [true, false] {
+                let cfg = base.clone().with_spatial_index(indexed);
+                let (sim, installed) = build_recorded(cfg.clone(), NeighborInfoScope::TwoHop);
+                let world = &sim.world;
+                assert_eq!(
+                    world.link_cache.has_index(),
+                    indexed && cfg.channel.index_cell_m().is_some(),
+                    "{name}"
+                );
+                let positions: Vec<Point> = (0..world.node_count())
+                    .map(|i| world.positions.get(i))
+                    .collect();
+                let oracle = brute_force_tables(&cfg, &positions);
+                let mut culled = false;
+                for (i, got) in installed.iter().enumerate() {
+                    let want = &oracle[i];
+                    culled |= want.len() + 1 < positions.len();
+                    // `SimDuration` equality is exact: delays match to the
+                    // microsecond tick, not within a tolerance.
+                    assert_eq!(got.neighbors.as_ref(), Some(want), "{name} node {i}");
+                    let two_hop: Vec<(NodeId, Table)> = want
+                        .iter()
+                        .map(|&(j, _)| (j, oracle[j.index()].clone()))
+                        .collect();
+                    assert_eq!(got.two_hop.as_ref(), Some(&two_hop), "{name} node {i}");
+                    let hello =
+                        cfg.control_bits as u64 + want.len() as u64 * ANNOUNCE_BITS_PER_ENTRY;
+                    assert_eq!(
+                        world.metrics.per_node[i].maintenance_bits, hello,
+                        "{name} node {i}"
+                    );
+                }
+                assert_eq!(culled, name != "modulation", "{name}: out-of-range pairs");
+            }
+        }
+    }
+
+    #[test]
+    fn construction_builds_each_link_row_exactly_once() {
+        // Whatever the scope, `Simulation::new` builds every node's row once
+        // and reads all its tables from those rows: n misses, no hits.
+        for scope in [
+            NeighborInfoScope::None,
+            NeighborInfoScope::OneHop,
+            NeighborInfoScope::TwoHop,
+        ] {
+            for indexed in [true, false] {
+                let cfg =
+                    oracle_cfg(200, AcousticChannel::paper_default()).with_spatial_index(indexed);
+                let (sim, _) = build_recorded(cfg, scope);
+                let n = sim.world.node_count() as u64;
+                let stats = sim.world.link_cache.stats();
+                assert_eq!(stats.misses, n, "{scope:?} indexed={indexed}");
+                assert_eq!(stats.hits, 0, "{scope:?} indexed={indexed}");
+                assert_eq!(stats.invalidations, 0);
+            }
+        }
     }
 }

@@ -1,12 +1,14 @@
 //! Per-pair link-budget memoization for the transmission fan-out hot path.
 //!
 //! Every transmission in the network simulator asks the channel, for each
-//! potential receiver: distance, SNR (which re-evaluates the four-component
-//! Wenz noise integral every call), propagation delay, audibility, and —
-//! when multipath is configured — the surface-echo geometry. On a static
-//! topology none of that changes between transmissions, so
-//! [`LinkBudgetCache`] computes each transmitter's audible-receiver row once
-//! and replays it until a mobility epoch invalidates it.
+//! potential receiver: distance, SNR (a transmission-loss evaluation with
+//! its `log10`), propagation delay, audibility, and — when multipath is
+//! configured — the surface-echo geometry. On a static topology none of
+//! that changes between transmissions, so [`LinkBudgetCache`] computes each
+//! transmitter's audible-receiver row once and replays it until a mobility
+//! epoch invalidates it. The network simulator builds every row up front
+//! and reads its neighbour tables from them, so the construction oracle and
+//! the run-time fan-out share one link path.
 //!
 //! Correctness contract (enforced by the differential tests in
 //! `crates/phy/tests` and the golden-trace suite in `crates/bench/tests`):
@@ -67,7 +69,7 @@ struct Row {
 /// Deterministic for a given run (they count structural decisions, not wall
 /// time), so they can ride in profile reports without perturbing anything.
 /// Maintained unconditionally: five integer adds per row build are noise
-/// next to the noise-integral evaluations they sit beside.
+/// next to the transmission-loss arithmetic they sit beside.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// `ensure_row` calls answered by a fresh row (epoch matched).
@@ -109,9 +111,10 @@ impl CacheStats {
 
 /// Memoizes each transmitter's audible receivers with their link budgets.
 ///
-/// Rows are built lazily (a node that never transmits never pays) and
-/// invalidated in O(1) by bumping the global epoch when node positions
-/// change.
+/// A row is built on the first [`ensure_row`](Self::ensure_row) for its
+/// transmitter in the current epoch and replayed by every later call; all
+/// rows are invalidated in O(1) by bumping the global epoch when node
+/// positions change.
 ///
 /// # Examples
 ///

@@ -112,8 +112,11 @@ impl TransmissionLoss {
 pub struct LinkBudget {
     source_level_db: f64,
     loss: TransmissionLoss,
-    noise: AmbientNoise,
     bandwidth_hz: f64,
+    /// In-band ambient noise level `NSD(fc) + 10 log BW`, dB re µPa.
+    /// Evaluated once in [`LinkBudget::new`] rather than on every
+    /// [`snr_db`](Self::snr_db) call: none of its inputs change afterwards.
+    noise_band_db: f64,
 }
 
 impl LinkBudget {
@@ -143,8 +146,8 @@ impl LinkBudget {
         LinkBudget {
             source_level_db,
             loss,
-            noise,
             bandwidth_hz,
+            noise_band_db: noise.band_level_db(loss.frequency_khz(), bandwidth_hz),
         }
     }
 
@@ -156,10 +159,7 @@ impl LinkBudget {
     /// Signal-to-noise ratio at `distance_m`, in dB:
     /// `SL − TL(r) − (NSD(fc) + 10 log BW)`.
     pub fn snr_db(&self, distance_m: f64) -> f64 {
-        let noise_db = self
-            .noise
-            .band_level_db(self.loss.frequency_khz(), self.bandwidth_hz);
-        self.received_level_db(distance_m) - noise_db
+        self.received_level_db(distance_m) - self.noise_band_db
     }
 
     /// The distance at which the SNR drops to `threshold_db`, found by
@@ -294,6 +294,86 @@ mod tests {
         let low_rate = b.eb_n0_linear(10.0, 1_000.0);
         let high_rate = b.eb_n0_linear(10.0, 10_000.0);
         assert!((low_rate / high_rate - 10.0).abs() < 1e-9);
+    }
+
+    /// Reference SNR curve that re-evaluates the Wenz noise spectrum on
+    /// every call instead of reading the stored band level.
+    fn recomputed_snr_db(
+        b: LinkBudget,
+        noise: AmbientNoise,
+        fc_khz: f64,
+        bw_hz: f64,
+    ) -> impl Fn(f64) -> f64 {
+        move |d| b.received_level_db(d) - noise.band_level_db(fc_khz, bw_hz)
+    }
+
+    /// `range_for_snr`'s bisection over an arbitrary SNR curve.
+    fn bisect_range(snr_db: impl Fn(f64) -> f64, threshold_db: f64, max_m: f64) -> Option<f64> {
+        let (mut lo, mut hi) = (1.0, max_m);
+        if snr_db(hi) >= threshold_db || snr_db(lo) < threshold_db {
+            return None;
+        }
+        for _ in 0..64 {
+            let mid = 0.5 * (lo + hi);
+            if snr_db(mid) >= threshold_db {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        Some(0.5 * (lo + hi))
+    }
+
+    #[test]
+    fn stored_noise_level_is_bit_identical_to_recomputation() {
+        use crate::channel::AcousticChannel;
+        use crate::per::PerModel;
+        use crate::sound::SoundSpeedProfile;
+
+        let bits = |v: Option<f64>| v.map(f64::to_bits);
+        for shipping in [0.0, 0.3, 0.5, 1.0] {
+            for wind in [0.0, 2.5, 5.0, 12.0] {
+                for bw in [1_000.0, 5_000.0, 12_000.0, 25_000.0] {
+                    for (spreading, fc) in [
+                        (Spreading::Cylindrical, 3.0),
+                        (Spreading::Practical, 10.0),
+                        (Spreading::Spherical, 25.0),
+                    ] {
+                        let noise =
+                            AmbientNoise::new(Shipping::new(shipping), WindSpeed::new(wind));
+                        let b =
+                            LinkBudget::new(170.0, TransmissionLoss::new(spreading, fc), noise, bw);
+                        let reference = recomputed_snr_db(b, noise, fc, bw);
+                        for d in [
+                            0.0, 0.5, 1.0, 10.0, 123.4, 750.0, 1_499.9, 1_500.0, 5_000.0, 1e5,
+                        ] {
+                            assert_eq!(b.snr_db(d).to_bits(), reference(d).to_bits(), "d = {d}");
+                        }
+                        for threshold in [b.snr_db(300.0), b.snr_db(1_500.0), 0.0, 20.0, 1e3] {
+                            assert_eq!(
+                                bits(b.range_for_snr(threshold, 150_000.0)),
+                                bits(bisect_range(&reference, threshold, 150_000.0)),
+                                "threshold {threshold} dB"
+                            );
+                            let ch = AcousticChannel::new(
+                                SoundSpeedProfile::default(),
+                                b,
+                                PerModel::SnrThreshold {
+                                    threshold_db: threshold,
+                                },
+                                1_500.0,
+                            );
+                            let want = if reference(1.0) < threshold {
+                                Some(0.0)
+                            } else {
+                                bisect_range(&reference, threshold, 100.0 * 1_500.0)
+                            };
+                            assert_eq!(bits(ch.detection_radius_m()), bits(want));
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
