@@ -13,7 +13,7 @@ use uasn_net::mac::{
     DropReason, MacContext, MacProtocol, MaintenanceProfile, NeighborInfoScope, Reception,
     TimerToken,
 };
-use uasn_net::neighbor::TwoHopTable;
+use uasn_net::neighbor::{OneHopTable, TwoHopTable};
 use uasn_net::node::NodeId;
 use uasn_net::packet::{Frame, FrameKind, Sdu};
 use uasn_net::slots::SlotIndex;
@@ -207,10 +207,7 @@ impl MacProtocol for CsMac {
 
     fn install_two_hop(&mut self, tables: &[(NodeId, Vec<(NodeId, SimDuration)>)]) {
         for (neighbor, list) in tables {
-            let mut table = uasn_net::neighbor::OneHopTable::new();
-            for &(id, delay) in list {
-                table.observe(id, delay, SimTime::ZERO);
-            }
+            let table = OneHopTable::from_measurements(list, SimTime::ZERO);
             self.two_hop.install(*neighbor, table);
         }
     }
@@ -229,10 +226,7 @@ impl MacProtocol for CsMac {
 
         // Assemble the two-hop view from piggybacked announcements.
         if !frame.announced.is_empty() {
-            let mut table = uasn_net::neighbor::OneHopTable::new();
-            for &(id, delay) in &frame.announced {
-                table.observe(id, delay, ctx.now());
-            }
+            let table = OneHopTable::from_measurements(&frame.announced, ctx.now());
             self.two_hop.install(frame.src, table);
         }
 

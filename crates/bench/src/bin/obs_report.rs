@@ -710,9 +710,10 @@ fn render_profile(report: &ProfileReport) {
         let culls = metrics.counter("phy.cache.cull_rejects");
         let audib = metrics.counter("phy.cache.audibility_rejects");
         println!(
-            "  link-budget cache: {:.1}% hit ({hits} hits, {misses} misses, {} invalidations)",
+            "  link-budget cache: {:.1}% hit ({hits} hits, {misses} misses, {} invalidations, {} degree counts)",
             hits as f64 / (hits + misses) as f64 * 100.0,
             metrics.counter("phy.cache.invalidations"),
+            metrics.counter("phy.cache.degree_counts"),
         );
         println!("    rejected at build: {culls} culled, {audib} inaudible");
     }

@@ -70,6 +70,30 @@ impl OneHopTable {
         OneHopTable::default()
     }
 
+    /// A table holding `measurements`, all taken at `now` — the same table
+    /// as [`observe`](Self::observe) called once per measurement in order
+    /// (a later duplicate id wins), built in bulk.
+    ///
+    /// Bulk collection sorts the input once and builds the tree from the
+    /// sorted run, which is linear for the already-sorted lists a link row
+    /// produces, instead of one tree insert per entry.
+    pub fn from_measurements(measurements: &[(NodeId, SimDuration)], now: SimTime) -> Self {
+        OneHopTable {
+            entries: measurements
+                .iter()
+                .map(|&(id, delay)| {
+                    (
+                        id,
+                        NeighborEntry {
+                            delay,
+                            measured_at: now,
+                        },
+                    )
+                })
+                .collect(),
+        }
+    }
+
     /// Records (or refreshes) a delay measurement for `neighbor`.
     pub fn observe(&mut self, neighbor: NodeId, delay: SimDuration, now: SimTime) {
         self.entries.insert(
@@ -218,6 +242,35 @@ mod tests {
         assert_eq!(table.len(), 2);
         assert_eq!(table.delay_of(NodeId::new(1)), Some(d(300)));
         assert_eq!(table.delay_of(NodeId::new(9)), None);
+    }
+
+    #[test]
+    fn bulk_build_equals_repeated_observe() {
+        let n = NodeId::new;
+        let cases: [&[(NodeId, SimDuration)]; 4] = [
+            &[],
+            &[(n(1), d(10)), (n(4), d(40)), (n(9), d(90))],
+            &[(n(7), d(70)), (n(2), d(20)), (n(5), d(50)), (n(3), d(30))],
+            // Duplicate ids, sorted and unsorted: the later one wins.
+            &[
+                (n(5), d(1)),
+                (n(2), d(2)),
+                (n(5), d(3)),
+                (n(2), d(4)),
+                (n(8), d(5)),
+            ],
+        ];
+        for measurements in cases {
+            let mut observed = OneHopTable::new();
+            for &(id, delay) in measurements {
+                observed.observe(id, delay, t(7));
+            }
+            let bulk = OneHopTable::from_measurements(measurements, t(7));
+            assert_eq!(bulk, observed, "{measurements:?}");
+        }
+        let dup = OneHopTable::from_measurements(&[(n(5), d(1)), (n(5), d(3))], t(0));
+        assert_eq!(dup.len(), 1);
+        assert_eq!(dup.delay_of(n(5)), Some(d(3)));
     }
 
     #[test]

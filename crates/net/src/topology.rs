@@ -14,6 +14,7 @@
 use rand::Rng;
 
 use uasn_phy::geometry::{Point, Region};
+use uasn_phy::grid::SpatialGrid;
 
 use crate::error::BuildNetworkError;
 use crate::node::{NodeId, NodeInfo, NodeRole};
@@ -179,6 +180,20 @@ fn generate_layered<R: Rng>(
         });
     }
 
+    let mut nodes = place_layered(rng, sensors, sinks, extent_m, layers, layer_spacing_m);
+    repair_layered(&mut nodes, sinks as usize, comm_range_m)?;
+    Ok(nodes)
+}
+
+/// The layered column's nodes before the repair pass.
+fn place_layered<R: Rng>(
+    rng: &mut R,
+    sensors: u32,
+    sinks: u32,
+    extent_m: f64,
+    layers: u32,
+    layer_spacing_m: f64,
+) -> Vec<NodeInfo> {
     let mut nodes = Vec::with_capacity((sensors + sinks) as usize);
     // Sinks: spread over the surface.
     for i in 0..sinks {
@@ -201,10 +216,19 @@ fn generate_layered<R: Rng>(
             NodeRole::Sensor,
         ));
     }
+    nodes
+}
 
-    // Repair pass, shallowest sensors first so repaired nodes can serve as
-    // anchors for deeper ones.
-    let mut order: Vec<usize> = (sinks as usize..nodes.len()).collect();
+/// Repair pass, shallowest sensors first so repaired nodes can serve as
+/// anchors for deeper ones: every sensor (ids from `sinks` on) that has no
+/// shallower node within `0.95 × comm_range_m` slides toward its nearest
+/// shallower anchor until it does.
+fn repair_layered(
+    nodes: &mut [NodeInfo],
+    sinks: usize,
+    comm_range_m: f64,
+) -> Result<(), BuildNetworkError> {
+    let mut order: Vec<usize> = (sinks..nodes.len()).collect();
     order.sort_by(|&a, &b| {
         nodes[a]
             .position
@@ -212,106 +236,150 @@ fn generate_layered<R: Rng>(
             .partial_cmp(&nodes[b].position.depth())
             .expect("depths are finite")
     });
+    let target_range = 0.95 * comm_range_m;
+    let vertical_cap = 0.9 * target_range;
+    // Grid-first shortcut: most sensors already have a shallower node
+    // within `vertical_cap` below them and within `target_range`. The
+    // scan's anchor is the nearest such node, so it is at least as close
+    // and the sensor would not move. Such a witness lies within
+    // `comm_range_m`, hence in the grid's 27-cell neighbourhood; a sensor
+    // without one in the neighbourhood falls through to the full scan.
+    let mut grid = neighbour_grid(nodes, comm_range_m);
+    let mut cand = Vec::new();
     for idx in order {
         let me = nodes[idx].position;
-        let target_range = 0.95 * comm_range_m;
-        // Prefer an anchor whose vertical separation alone leaves horizontal
-        // slack; with heavy depth jitter in sparse layers none may exist, in
-        // which case take the nearest shallower node and move in 3-D.
-        let nearest = |vertical_cap: f64| -> Option<Point> {
-            nodes
-                .iter()
-                .filter(|n| {
-                    n.position.depth() < me.depth()
-                        && me.depth() - n.position.depth() <= vertical_cap
-                })
-                .min_by(|a, b| {
-                    me.distance(a.position)
-                        .partial_cmp(&me.distance(b.position))
-                        .expect("distances are finite")
-                })
-                .map(|n| n.position)
-        };
-        let (anchor, slide_3d) = match nearest(0.9 * target_range) {
-            Some(a) => (a, false),
-            None => (
-                nearest(f64::INFINITY).ok_or_else(|| BuildNetworkError::PlacementFailed {
-                    reason: "sensor has no shallower node to anchor to".into(),
-                })?,
-                true,
-            ),
-        };
-        if me.distance(anchor) > target_range {
-            if slide_3d {
-                // Move along the line toward the anchor to 0.9 × range,
-                // staying strictly deeper than it.
-                let d = me.distance(anchor);
-                let keep = (0.9 * target_range) / d;
-                let moved = Point::new(
-                    anchor.x + (me.x - anchor.x) * keep,
-                    anchor.y + (me.y - anchor.y) * keep,
-                    (anchor.z + (me.z - anchor.z) * keep).max(anchor.z + 1.0),
-                );
-                nodes[idx].position = moved;
-            } else {
-                // Slide horizontally toward the anchor until in range; the
-                // anchor was chosen with enough vertical slack.
-                let dx = anchor.x - me.x;
-                let dy = anchor.y - me.y;
-                let horiz = (dx * dx + dy * dy).sqrt();
-                let dz = me.z - anchor.z;
-                let allowed_horiz = (target_range * target_range - dz * dz).max(0.0).sqrt();
-                let scale = if horiz > 0.0 {
-                    ((horiz - allowed_horiz) / horiz).clamp(0.0, 1.0)
-                } else {
-                    0.0
-                };
-                nodes[idx].position = Point::new(me.x + dx * scale, me.y + dy * scale, me.z);
+        if let Some(grid) = &grid {
+            grid.neighbourhood_into(me, &mut cand);
+            let anchored = cand.iter().any(|&j| {
+                let n = nodes[j as usize].position;
+                n.depth() < me.depth()
+                    && me.depth() - n.depth() <= vertical_cap
+                    && me.distance(n) <= target_range
+            });
+            if anchored {
+                continue;
+            }
+        }
+        if let Some(moved) = repair_move(nodes, me, target_range)? {
+            nodes[idx].position = moved;
+            if let Some(grid) = &mut grid {
+                grid.note_move(idx as u32, moved);
             }
         }
     }
-    Ok(nodes)
+    Ok(())
 }
 
-/// Below this node count the plain O(N²) strandedness scan beats building
-/// a spatial index for it.
-const STRANDED_GRID_THRESHOLD: usize = 256;
+/// Where the repair pass moves a sensor at `me`, or `None` if it stays.
+///
+/// Scans every node for the nearest shallower anchor.
+fn repair_move(
+    nodes: &[NodeInfo],
+    me: Point,
+    target_range: f64,
+) -> Result<Option<Point>, BuildNetworkError> {
+    // Prefer an anchor whose vertical separation alone leaves horizontal
+    // slack; with heavy depth jitter in sparse layers none may exist, in
+    // which case take the nearest shallower node and move in 3-D.
+    let nearest = |vertical_cap: f64| -> Option<Point> {
+        nodes
+            .iter()
+            .filter(|n| {
+                n.position.depth() < me.depth() && me.depth() - n.position.depth() <= vertical_cap
+            })
+            .min_by(|a, b| {
+                me.distance(a.position)
+                    .partial_cmp(&me.distance(b.position))
+                    .expect("distances are finite")
+            })
+            .map(|n| n.position)
+    };
+    let (anchor, slide_3d) = match nearest(0.9 * target_range) {
+        Some(a) => (a, false),
+        None => (
+            nearest(f64::INFINITY).ok_or_else(|| BuildNetworkError::PlacementFailed {
+                reason: "sensor has no shallower node to anchor to".into(),
+            })?,
+            true,
+        ),
+    };
+    if me.distance(anchor) <= target_range {
+        return Ok(None);
+    }
+    let moved = if slide_3d {
+        // Move along the line toward the anchor to 0.9 × range, staying
+        // strictly deeper than it.
+        let d = me.distance(anchor);
+        let keep = (0.9 * target_range) / d;
+        Point::new(
+            anchor.x + (me.x - anchor.x) * keep,
+            anchor.y + (me.y - anchor.y) * keep,
+            (anchor.z + (me.z - anchor.z) * keep).max(anchor.z + 1.0),
+        )
+    } else {
+        // Slide horizontally toward the anchor until in range; the anchor
+        // was chosen with enough vertical slack.
+        let dx = anchor.x - me.x;
+        let dy = anchor.y - me.y;
+        let horiz = (dx * dx + dy * dy).sqrt();
+        let dz = me.z - anchor.z;
+        let allowed_horiz = (target_range * target_range - dz * dz).max(0.0).sqrt();
+        let scale = if horiz > 0.0 {
+            ((horiz - allowed_horiz) / horiz).clamp(0.0, 1.0)
+        } else {
+            0.0
+        };
+        Point::new(me.x + dx * scale, me.y + dy * scale, me.z)
+    };
+    Ok(Some(moved))
+}
+
+/// Below this node count the plain O(N²) scans over a deployment — the
+/// repair pass's witness test and [`stranded_sensors`] — beat building a
+/// spatial index for them. At or above it both passes first consult a
+/// [`SpatialGrid`] with cell edge `comm_range_m`.
+const GRID_NODE_THRESHOLD: usize = 256;
+
+/// A grid over `nodes` with cell edge `comm_range_m`, so every node within
+/// `comm_range_m` of a point is in that point's 27-cell neighbourhood; `None`
+/// below [`GRID_NODE_THRESHOLD`] or for a range no grid can bin.
+fn neighbour_grid(nodes: &[NodeInfo], comm_range_m: f64) -> Option<SpatialGrid> {
+    (nodes.len() >= GRID_NODE_THRESHOLD && comm_range_m.is_finite() && comm_range_m > 0.0).then(
+        || {
+            let positions: Vec<Point> = nodes.iter().map(|n| n.position).collect();
+            SpatialGrid::build(comm_range_m, positions.as_slice())
+        },
+    )
+}
 
 /// Sensors with **no** shallower node within `comm_range_m` — the stranded
 /// set that would make depth routing impossible.
 ///
-/// Above [`STRANDED_GRID_THRESHOLD`] nodes the scan runs over a uniform
+/// At or above `GRID_NODE_THRESHOLD` (256) nodes the scan runs over a uniform
 /// grid with cell edge `comm_range_m`, so any in-range witness is in the
 /// 27-cell neighbourhood and each candidate still takes the exact distance
 /// check — the result is identical to the brute-force scan for every input.
 pub fn stranded_sensors(nodes: &[NodeInfo], comm_range_m: f64) -> Vec<NodeId> {
-    let has_witness: Box<dyn Fn(&NodeInfo) -> bool> =
-        if nodes.len() >= STRANDED_GRID_THRESHOLD && comm_range_m.is_finite() && comm_range_m > 0.0
-        {
-            let positions: Vec<Point> = nodes.iter().map(|n| n.position).collect();
-            let grid = uasn_phy::grid::SpatialGrid::build(comm_range_m, positions.as_slice());
-            Box::new(move |n: &NodeInfo| {
-                let mut cand = Vec::new();
-                grid.candidates_into(n.position, &mut cand);
-                cand.iter().map(|&j| &nodes[j as usize]).any(|m| {
-                    m.position.depth() < n.position.depth()
-                        && n.position.distance(m.position) <= comm_range_m
+    let witnesses = |n: &NodeInfo, m: &NodeInfo| {
+        m.position.depth() < n.position.depth() && n.position.distance(m.position) <= comm_range_m
+    };
+    let sensors = nodes.iter().filter(|n| !n.is_sink());
+    match neighbour_grid(nodes, comm_range_m) {
+        Some(grid) => {
+            let mut cand = Vec::new();
+            sensors
+                .filter(|n| {
+                    grid.neighbourhood_into(n.position, &mut cand);
+                    !cand.iter().any(|&j| witnesses(n, &nodes[j as usize]))
                 })
-            })
-        } else {
-            Box::new(move |n: &NodeInfo| {
-                nodes.iter().any(|m| {
-                    m.position.depth() < n.position.depth()
-                        && n.position.distance(m.position) <= comm_range_m
-                })
-            })
-        };
-    nodes
-        .iter()
-        .filter(|n| !n.is_sink())
-        .filter(|n| !has_witness(n))
-        .map(|n| n.id)
-        .collect()
+                .map(|n| n.id)
+                .collect()
+        }
+        None => sensors
+            .filter(|n| !nodes.iter().any(|m| witnesses(n, m)))
+            .map(|n| n.id)
+            .collect(),
+    }
 }
 
 /// All ordered audible pairs `(hearer, speaker)` within `comm_range_m`
@@ -344,6 +412,144 @@ mod tests {
 
     fn rng(seed: u64) -> rand::rngs::StdRng {
         rand::rngs::StdRng::seed_from_u64(seed)
+    }
+
+    /// Moves the repair oracle made, by branch.
+    #[derive(Debug, Default, Clone, Copy)]
+    struct Moves {
+        horizontal: usize,
+        slide_3d: usize,
+    }
+
+    /// The repair pass as a plain O(N²) scan for every sensor: the oracle
+    /// the grid-first [`repair_layered`] must reproduce bit for bit.
+    fn repair_by_scan(nodes: &mut [NodeInfo], sinks: usize, comm_range_m: f64) -> Moves {
+        let mut moves = Moves::default();
+        let mut order: Vec<usize> = (sinks..nodes.len()).collect();
+        order.sort_by(|&a, &b| {
+            nodes[a]
+                .position
+                .depth()
+                .partial_cmp(&nodes[b].position.depth())
+                .expect("depths are finite")
+        });
+        for idx in order {
+            let me = nodes[idx].position;
+            let target_range = 0.95 * comm_range_m;
+            let nearest = |vertical_cap: f64| -> Option<Point> {
+                nodes
+                    .iter()
+                    .filter(|n| {
+                        n.position.depth() < me.depth()
+                            && me.depth() - n.position.depth() <= vertical_cap
+                    })
+                    .min_by(|a, b| {
+                        me.distance(a.position)
+                            .partial_cmp(&me.distance(b.position))
+                            .expect("distances are finite")
+                    })
+                    .map(|n| n.position)
+            };
+            let (anchor, slide_3d) = match nearest(0.9 * target_range) {
+                Some(a) => (a, false),
+                None => (nearest(f64::INFINITY).expect("a shallower node"), true),
+            };
+            if me.distance(anchor) > target_range {
+                if slide_3d {
+                    let d = me.distance(anchor);
+                    let keep = (0.9 * target_range) / d;
+                    nodes[idx].position = Point::new(
+                        anchor.x + (me.x - anchor.x) * keep,
+                        anchor.y + (me.y - anchor.y) * keep,
+                        (anchor.z + (me.z - anchor.z) * keep).max(anchor.z + 1.0),
+                    );
+                    moves.slide_3d += 1;
+                } else {
+                    let dx = anchor.x - me.x;
+                    let dy = anchor.y - me.y;
+                    let horiz = (dx * dx + dy * dy).sqrt();
+                    let dz = me.z - anchor.z;
+                    let allowed_horiz = (target_range * target_range - dz * dz).max(0.0).sqrt();
+                    let scale = if horiz > 0.0 {
+                        ((horiz - allowed_horiz) / horiz).clamp(0.0, 1.0)
+                    } else {
+                        0.0
+                    };
+                    nodes[idx].position = Point::new(me.x + dx * scale, me.y + dy * scale, me.z);
+                    moves.horizontal += 1;
+                }
+            }
+        }
+        moves
+    }
+
+    #[test]
+    fn grid_first_repair_matches_the_scan_oracle() {
+        const RANGE: f64 = 1_500.0;
+        let swarm = |sensors: u32| Deployment::LayeredColumn {
+            extent_m: 20_000.0 * (sensors as f64 / 10_000.0).sqrt(),
+            layers: 10,
+            layer_spacing_m: 450.0,
+        };
+        // A handful of sensors per layer with layers almost a full range
+        // apart: the ±20% jitter often leaves no anchor inside the
+        // vertical cap, which forces the 3-D slide.
+        let sparse_heavy_jitter = Deployment::LayeredColumn {
+            extent_m: 12_000.0,
+            layers: 60,
+            layer_spacing_m: 1_400.0,
+        };
+        let mut cases: Vec<(Deployment, u32, u32)> = Vec::new();
+        for sensors in [40, 200, 253, 254, 300, 600] {
+            cases.push((Deployment::paper_column(), sensors, 3));
+            cases.push((Deployment::paper_column_for(140), sensors, 3));
+            cases.push((sparse_heavy_jitter, sensors, 2));
+        }
+        cases.push((swarm(2_000), 2_000, 8));
+        let (mut below, mut above) = (Moves::default(), Moves::default());
+        for seed in 0..4 {
+            for &(deployment, sensors, sinks) in &cases {
+                let Deployment::LayeredColumn {
+                    extent_m,
+                    layers,
+                    layer_spacing_m,
+                } = deployment
+                else {
+                    unreachable!("layered cases only")
+                };
+                let got = deployment
+                    .generate(&mut rng(seed), sensors, sinks, RANGE)
+                    .expect("generation succeeds");
+                let mut expected = place_layered(
+                    &mut rng(seed),
+                    sensors,
+                    sinks,
+                    extent_m,
+                    layers,
+                    layer_spacing_m,
+                );
+                let moves = repair_by_scan(&mut expected, sinks as usize, RANGE);
+                assert_eq!(
+                    got, expected,
+                    "seed {seed}: {sensors} sensors in {deployment:?}"
+                );
+                let side = if expected.len() < GRID_NODE_THRESHOLD {
+                    &mut below
+                } else {
+                    &mut above
+                };
+                side.horizontal += moves.horizontal;
+                side.slide_3d += moves.slide_3d;
+            }
+        }
+        // Both slide branches run on both sides of the cutoff, so the
+        // comparison covers moved nodes and the grid's `note_move`.
+        for (side, moves) in [("below", below), ("above", above)] {
+            assert!(
+                moves.horizontal > 0 && moves.slide_3d > 0,
+                "{side} the cutoff: {moves:?}"
+            );
+        }
     }
 
     #[test]

@@ -1339,21 +1339,36 @@ impl NetworkWorld {
         if scope == NeighborInfoScope::None {
             return 0;
         }
-        self.audible_degree(node) as u64 * ANNOUNCE_BITS_PER_ENTRY
-    }
-
-    /// How many nodes can hear `node` right now (its one-hop degree).
-    fn audible_degree(&mut self, node: usize) -> usize {
-        if self.cfg.fastpath {
+        let degree = if self.cfg.fastpath {
+            // Build the row, not just its count: the node's next fan-out
+            // replays it.
             self.link_cache
                 .ensure_row(&self.channel, &self.positions, node);
             self.link_cache.row_len(node)
         } else {
-            let p = self.positions.get(node);
-            (0..self.node_count())
-                .filter(|&j| j != node && self.channel.is_audible(p, self.positions.get(j)))
-                .count()
+            self.reference_degree(node)
+        };
+        degree as u64 * ANNOUNCE_BITS_PER_ENTRY
+    }
+
+    /// How many nodes can hear `node` right now (its one-hop degree),
+    /// counted without building a row that nothing will replay.
+    fn audible_degree(&mut self, node: usize) -> usize {
+        if self.cfg.fastpath {
+            self.link_cache
+                .audible_degree(&self.channel, &self.positions, node)
+        } else {
+            self.reference_degree(node)
         }
+    }
+
+    /// The one-hop degree by a full scan with the channel's own audibility
+    /// test (the `fastpath = false` reference).
+    fn reference_degree(&self, node: usize) -> usize {
+        let p = self.positions.get(node);
+        (0..self.node_count())
+            .filter(|&j| j != node && self.channel.is_audible(p, self.positions.get(j)))
+            .count()
     }
 
     /// One resynchronization round: sample every node's sync error into the
@@ -2041,6 +2056,7 @@ impl Simulation {
             reg.add("phy.cache.invalidations", cs.invalidations);
             reg.add("phy.cache.cull_rejects", cs.cull_rejects);
             reg.add("phy.cache.audibility_rejects", cs.audibility_rejects);
+            reg.add("phy.cache.degree_counts", cs.degree_counts);
             ProfileReport::single(cost, reg.take())
         });
         RunOutput {
@@ -2093,6 +2109,8 @@ mod tests {
     #[derive(Debug, Default)]
     struct BlastMac {
         queue: std::collections::VecDeque<Sdu>,
+        /// Listening surcharge per audible neighbour, mW (0 by default).
+        listen_mw: f64,
     }
 
     impl MacProtocol for BlastMac {
@@ -2100,7 +2118,10 @@ mod tests {
             "BLAST"
         }
         fn maintenance(&self) -> MaintenanceProfile {
-            MaintenanceProfile::none()
+            MaintenanceProfile {
+                listen_mw_per_neighbor: self.listen_mw,
+                ..MaintenanceProfile::none()
+            }
         }
         fn on_slot_start(&mut self, ctx: &mut MacContext<'_>, _slot: SlotIndex) {
             if let Some(sdu) = self.queue.pop_front() {
@@ -2119,6 +2140,15 @@ mod tests {
 
     fn blast_factory(_: NodeId) -> Box<dyn MacProtocol> {
         Box::new(BlastMac::default())
+    }
+
+    /// A [`BlastMac`] that pays a listening surcharge, so `finalize` reads
+    /// every node's audible degree.
+    fn listening_blast_factory(_: NodeId) -> Box<dyn MacProtocol> {
+        Box::new(BlastMac {
+            listen_mw: 2.0,
+            ..BlastMac::default()
+        })
     }
 
     fn small_cfg() -> SimConfig {
@@ -2315,6 +2345,31 @@ mod tests {
                 .unwrap()
                 .run();
             assert_eq!(fast, reference);
+        }
+        // The default BlastMac pays no listening surcharge, so the runs
+        // above never compare the `finalize` degree. A listening one does,
+        // on a static world (fresh rows) and a mobile one (stale rows,
+        // answered by the cache's count-only degree query).
+        for (cfg, mobile) in [(small_cfg(), false), (small_cfg().with_mobility(0.5), true)] {
+            let run = |fastpath: bool, factory: &MacFactory<'_>| {
+                Simulation::new(
+                    cfg.clone().with_fastpath(fastpath).with_profiling(true),
+                    factory,
+                )
+                .unwrap()
+                .run_full()
+            };
+            let fast = run(true, &listening_blast_factory);
+            let reference = run(false, &listening_blast_factory);
+            assert_eq!(fast.report, reference.report);
+            let silent = run(true, &blast_factory);
+            assert!(
+                fast.report.total_energy_j > silent.report.total_energy_j,
+                "the surcharge is charged"
+            );
+            let profile = fast.profile.expect("profiling enabled");
+            let counts = profile.metrics.counter("phy.cache.degree_counts");
+            assert_eq!(counts > 0, mobile, "degree counts: {counts}");
         }
     }
 

@@ -56,6 +56,44 @@ pub struct CachedLink {
     pub echo_delay: Option<SimDuration>,
 }
 
+/// Outcome of one transmitter→receiver audibility test.
+enum Audibility {
+    /// Beyond the padded cull radius; no link-budget arithmetic ran.
+    Culled,
+    /// Inside the cull radius but the exact check says inaudible.
+    Inaudible,
+    /// Audible, with the exact direct-path distance and SNR.
+    Audible { distance_m: f64, snr_db: f64 },
+}
+
+/// The one audibility predicate behind every cached row and degree count:
+/// the squared-distance cull against `cull_radius_sq` (skipped when the PER
+/// model admits no bound), then the exact check on the distance and SNR.
+#[inline]
+fn audibility(
+    cull_radius_sq: Option<f64>,
+    channel: &AcousticChannel,
+    from: Point,
+    to: Point,
+) -> Audibility {
+    if let Some(r2) = cull_radius_sq {
+        let dx = from.x - to.x;
+        let dy = from.y - to.y;
+        let dz = from.z - to.z;
+        if dx * dx + dy * dy + dz * dz > r2 {
+            return Audibility::Culled;
+        }
+    }
+    let distance_m = from.distance(to);
+    let snr_db = channel.budget().snr_db(distance_m);
+    // Same arithmetic as `AcousticChannel::is_audible`, reusing the
+    // distance and SNR just computed.
+    if channel.loss_probability_at(distance_m, snr_db, 1) >= 1.0 {
+        return Audibility::Inaudible;
+    }
+    Audibility::Audible { distance_m, snr_db }
+}
+
 /// One transmitter's cached fan-out row.
 #[derive(Debug, Clone, Default)]
 struct Row {
@@ -84,6 +122,10 @@ pub struct CacheStats {
     /// Candidate receivers that survived the cull but failed the exact
     /// audibility check.
     pub audibility_rejects: u64,
+    /// [`audible_degree`](LinkBudgetCache::audible_degree) calls that found
+    /// the row stale and counted the receivers without building it. They
+    /// bump none of `misses`, `cull_rejects` or `audibility_rejects`.
+    pub degree_counts: u64,
 }
 
 impl CacheStats {
@@ -276,7 +318,7 @@ impl LinkBudgetCache {
         self.rows[tx].epoch = self.epoch;
     }
 
-    /// One candidate-receiver step of a row build: cull, exact audibility,
+    /// One candidate-receiver step of a row build: the [`audibility`] test,
     /// then append. Shared verbatim between the indexed and linear scans so
     /// they cannot drift apart.
     #[inline]
@@ -291,23 +333,17 @@ impl LinkBudgetCache {
         if j == tx {
             return;
         }
-        if let Some(r2) = self.cull_radius_sq {
-            let dx = from.x - to.x;
-            let dy = from.y - to.y;
-            let dz = from.z - to.z;
-            if dx * dx + dy * dy + dz * dz > r2 {
+        let (distance_m, snr_db) = match audibility(self.cull_radius_sq, channel, from, to) {
+            Audibility::Culled => {
                 self.stats.cull_rejects += 1;
                 return;
             }
-        }
-        let distance_m = from.distance(to);
-        let snr_db = channel.budget().snr_db(distance_m);
-        // Same arithmetic as `AcousticChannel::is_audible`, reusing the
-        // distance and SNR just computed.
-        if channel.loss_probability_at(distance_m, snr_db, 1) >= 1.0 {
-            self.stats.audibility_rejects += 1;
-            return;
-        }
+            Audibility::Inaudible => {
+                self.stats.audibility_rejects += 1;
+                return;
+            }
+            Audibility::Audible { distance_m, snr_db } => (distance_m, snr_db),
+        };
         let echo_delay = channel
             .echo_audible(from, to)
             .then(|| channel.echo_delay(from, to));
@@ -318,6 +354,56 @@ impl LinkBudgetCache {
             delay: channel.propagation_delay(from, to),
             echo_delay,
         });
+    }
+
+    /// How many receivers can hear `tx` at current positions — what
+    /// [`ensure_row`](Self::ensure_row) followed by
+    /// [`row_len`](Self::row_len) would return, without building the row.
+    ///
+    /// A fresh row answers with its length (counted as a hit). A stale row
+    /// is answered by running every candidate through the same
+    /// cull-and-exact test a row build uses, with no sort and no delay or
+    /// echo arithmetic; it counts one [`CacheStats::degree_counts`] and
+    /// leaves the row stale. Use it where only the degree is needed and the
+    /// row will not be replayed.
+    pub fn audible_degree<P: PositionSource + ?Sized>(
+        &mut self,
+        channel: &AcousticChannel,
+        positions: &P,
+        tx: usize,
+    ) -> usize {
+        let n = positions.node_count();
+        if self.rows.len() != n {
+            self.rows.resize(n, Row::default());
+        }
+        if self.rows[tx].epoch == self.epoch {
+            self.stats.hits += 1;
+            return self.rows[tx].links.len();
+        }
+        self.stats.degree_counts += 1;
+        let from = positions.position(tx);
+        let r2 = self.cull_radius_sq;
+        let audible = |j: usize| {
+            j != tx
+                && matches!(
+                    audibility(r2, channel, from, positions.position(j)),
+                    Audibility::Audible { .. }
+                )
+        };
+        match &self.grid {
+            Some(grid) => {
+                // A count does not depend on visiting order: skip the sort.
+                grid.neighbourhood_into(from, &mut self.scratch);
+                let degree = self
+                    .scratch
+                    .iter()
+                    .filter(|&&cand| audible(cand as usize))
+                    .count();
+                self.scratch.clear();
+                degree
+            }
+            None => (0..n).filter(|&j| audible(j)).count(),
+        }
     }
 
     /// Number of audible receivers in `tx`'s row (the node's degree).
@@ -355,6 +441,120 @@ mod tests {
         (0..n)
             .map(|i| Point::new(i as f64 * spacing_m, 0.0, 500.0))
             .collect()
+    }
+
+    /// One channel per PER model: range cutoff, SNR threshold, and the
+    /// probabilistic modulation model (no cull radius, so no index).
+    fn per_model_channels() -> Vec<AcousticChannel> {
+        use crate::noise::AmbientNoise;
+        use crate::per::{Modulation, PerModel};
+        use crate::propagation::{LinkBudget, Spreading, TransmissionLoss};
+        use crate::sound::SoundSpeedProfile;
+
+        [
+            PerModel::RangeCutoff { range_m: 1_500.0 },
+            PerModel::SnrThreshold { threshold_db: 15.0 },
+            PerModel::Modulation {
+                scheme: Modulation::NcFsk,
+                bandwidth_over_bitrate: 1.0,
+            },
+        ]
+        .into_iter()
+        .map(|per| {
+            AcousticChannel::new(
+                SoundSpeedProfile::default(),
+                LinkBudget::new(
+                    170.0,
+                    TransmissionLoss::new(Spreading::Spherical, 10.0),
+                    AmbientNoise::default(),
+                    12_000.0,
+                ),
+                per,
+                1_500.0,
+            )
+        })
+        .collect()
+    }
+
+    /// `n` nodes scattered over a 6 km × 6 km × 1 km box.
+    fn scatter(n: usize, phase: f64) -> Vec<Point> {
+        (0..n)
+            .map(|i| {
+                let f = i as f64 + phase;
+                Point::new(
+                    f * 1_371.3 % 6_000.0,
+                    f * 2_917.7 % 6_000.0,
+                    f * 431.9 % 1_000.0,
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn degree_query_equals_row_length_and_leaves_rows_stale() {
+        let n = 80;
+        for ch in per_model_channels() {
+            for indexed in [false, true] {
+                let mut positions = scatter(n, 0.0);
+                let mut cache = if indexed {
+                    LinkBudgetCache::with_index(&ch, &positions)
+                } else {
+                    LinkBudgetCache::new(&ch, n)
+                };
+                let label = format!("{:?}, index {}", ch.per_model(), cache.has_index());
+                for tx in 0..n {
+                    cache.ensure_row(&ch, &positions, tx);
+                }
+                // A mobility epoch: everyone moves, every row goes stale.
+                positions = scatter(n, 0.37);
+                for (i, &p) in positions.iter().enumerate() {
+                    cache.note_move(i as u32, p);
+                }
+                cache.invalidate();
+                let built = cache.stats();
+                let counted: Vec<usize> = (0..n)
+                    .map(|tx| cache.audible_degree(&ch, &positions, tx))
+                    .collect();
+                assert_eq!(
+                    cache.stats(),
+                    CacheStats {
+                        degree_counts: n as u64,
+                        ..built
+                    },
+                    "{label}: counts touch no other counter"
+                );
+                assert!(counted.iter().any(|&d| d > 0), "{label}: some links exist");
+                // The rows are still stale: each `ensure_row` rebuilds.
+                for (tx, &degree) in counted.iter().enumerate() {
+                    cache.ensure_row(&ch, &positions, tx);
+                    assert_eq!(cache.row_len(tx), degree, "{label}: tx {tx}");
+                }
+                assert_eq!(cache.stats().misses, built.misses + n as u64, "{label}");
+            }
+        }
+    }
+
+    #[test]
+    fn degree_counts_only_stale_queries() {
+        let ch = AcousticChannel::paper_default();
+        let positions = line(10, 600.0);
+        let mut cache = LinkBudgetCache::with_index(&ch, &positions);
+        // Stale (never built): counted, not missed.
+        assert_eq!(cache.audible_degree(&ch, &positions, 0), 2);
+        assert_eq!(cache.audible_degree(&ch, &positions, 0), 2);
+        let counted = cache.stats();
+        assert_eq!((counted.degree_counts, counted.misses), (2, 0));
+        assert_eq!((counted.cull_rejects, counted.audibility_rejects), (0, 0));
+        // Fresh: answered from the row as a hit, not a count.
+        cache.ensure_row(&ch, &positions, 0);
+        assert_eq!(cache.audible_degree(&ch, &positions, 0), 2);
+        let fresh = cache.stats();
+        assert_eq!((fresh.hits, fresh.misses, fresh.degree_counts), (1, 1, 2));
+        // Invalidation makes the next query a count again.
+        cache.invalidate();
+        assert_eq!(cache.audible_degree(&ch, &positions, 0), 2);
+        assert_eq!(cache.stats().degree_counts, 3);
+        assert_eq!(cache.stats().hits, 1);
     }
 
     #[test]

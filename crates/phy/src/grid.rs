@@ -132,6 +132,23 @@ impl SpatialGrid {
     /// (including any node located exactly at `p`); nodes missing from it
     /// are guaranteed to lie strictly farther than `cell_m` away.
     pub fn candidates_into(&self, p: Point, out: &mut Vec<u32>) {
+        self.neighbourhood_into(p, out);
+        // Ascending order is part of the determinism contract: callers
+        // visit candidates in the same order the brute-force scan would.
+        out.sort_unstable();
+    }
+
+    /// Collects into `out` every node in the 27-cell neighbourhood around
+    /// `p`, in no particular order — for callers whose answer does not
+    /// depend on visiting order (an `any` or a count), which then skip
+    /// [`candidates_into`](Self::candidates_into)'s sort.
+    ///
+    /// The result is a superset of all indexed nodes within `cell_m` of `p`
+    /// (including any node located exactly at `p`); nodes missing from it
+    /// are guaranteed to lie strictly farther than `cell_m` away: such a
+    /// node sits at least two whole cells from `p`'s cell along some axis,
+    /// so its distance along that axis alone exceeds `cell_m`.
+    pub fn neighbourhood_into(&self, p: Point, out: &mut Vec<u32>) {
         out.clear();
         let (cx, cy, cz) = self.cell_of(p);
         for dx in -1..=1 {
@@ -143,9 +160,6 @@ impl SpatialGrid {
                 }
             }
         }
-        // Ascending order is part of the determinism contract: callers
-        // visit candidates in the same order the brute-force scan would.
-        out.sort_unstable();
     }
 }
 
@@ -184,6 +198,24 @@ mod tests {
                 c
             };
             assert_eq!(cand, sorted, "candidates must come out ascending");
+        }
+    }
+
+    #[test]
+    fn neighbourhood_is_the_candidate_set_unsorted() {
+        let positions: Vec<Point> = (0..60)
+            .map(|i| {
+                let f = i as f64;
+                Point::new(f * 271.3 % 4_000.0, f * 151.9 % 4_000.0, f * 83.7 % 3_000.0)
+            })
+            .collect();
+        let grid = SpatialGrid::build(900.0, &positions);
+        let (mut sorted, mut gathered) = (Vec::new(), Vec::new());
+        for &p in &positions {
+            grid.candidates_into(p, &mut sorted);
+            grid.neighbourhood_into(p, &mut gathered);
+            gathered.sort_unstable();
+            assert_eq!(gathered, sorted, "same set around {p}");
         }
     }
 
