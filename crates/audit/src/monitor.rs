@@ -113,16 +113,8 @@ pub struct MonitorSet {
     live_tx: usize,
     pending_rts: Vec<PendingRts>,
     reserved: Vec<Reservation>,
-    /// Nodes visited so far by each in-flight routed SDU copy, origin
-    /// first, keyed by `(sdu id, attempt)` — per copy, not per SDU, so a
-    /// stale frame from an earlier transport attempt extends its own
-    /// path instead of tripping the revisit check against the retry's.
-    /// Each `route` record seeds its copy's path (a retry is a fresh
-    /// copy, free to re-traverse the earlier copy's nodes); paths are
-    /// pruned on that copy's delivery or loss (terminal drops retire
-    /// every copy of the SDU), so the working set is bounded by the
-    /// in-flight copy population.
-    route_paths: HashMap<(u64, u64), Vec<usize>>,
+    /// Nodes visited so far by each in-flight routed SDU copy.
+    route_paths: RoutePaths,
     findings: Vec<Violation>,
     peak_tracked: usize,
 }
@@ -184,7 +176,7 @@ impl MonitorSet {
     /// an earlier copy still in flight keeps extending its own path.
     pub fn observe_route(&mut self, ev: &RouteEvent) {
         self.advance(ev.time_us);
-        self.route_paths.insert((ev.sdu, ev.attempt), vec![ev.node]);
+        *self.route_paths.path(ev.sdu, ev.attempt) = vec![ev.node];
         self.update_peak();
     }
 
@@ -213,10 +205,9 @@ impl MonitorSet {
     pub fn observe_route_drop(&mut self, ev: &RouteDropEvent) {
         self.advance(ev.time_us);
         if ev.terminal {
-            let sdu = ev.sdu;
-            self.route_paths.retain(|&(id, _), _| id != sdu);
+            self.route_paths.retire_sdu(ev.sdu);
         } else if let Some(attempt) = ev.attempt {
-            self.route_paths.remove(&(ev.sdu, attempt));
+            self.route_paths.retire_copy(ev.sdu, attempt);
         }
         self.update_peak();
     }
@@ -233,7 +224,7 @@ impl MonitorSet {
             ev.hops,
             "delivered",
         );
-        self.route_paths.remove(&(ev.sdu, ev.attempt));
+        self.route_paths.retire_copy(ev.sdu, ev.attempt);
         self.update_peak();
     }
 
@@ -249,46 +240,19 @@ impl MonitorSet {
         hops: u64,
         verb: &str,
     ) {
-        let (sdu, attempt) = copy;
-        let path = self.route_paths.entry(copy).or_default();
-        if path.contains(&node) {
-            self.findings.push(Violation {
-                kind: ViolationKind::RoutingLoop,
-                record_index: record,
-                time_us,
-                node: Some(node),
-                detail: format!(
-                    "sdu {sdu} (copy {attempt}) {verb} at n{node}, already on its path \
-                     {path:?}: depth-monotone forwarding revisited a node"
-                ),
-                observed_us: None,
-                allowed_us: None,
-            });
-        }
-        path.push(node);
-        if let Some(ttl) = self.geometry.as_ref().and_then(|g| g.run.route_ttl) {
-            // A relay happens strictly before the TTL bites (`hops < ttl`);
-            // a delivery consumes one more hop and may reach it exactly.
-            let bound_exceeded = if verb == "delivered" {
-                hops > ttl
-            } else {
-                hops >= ttl
-            };
-            if bound_exceeded {
-                self.findings.push(Violation {
-                    kind: ViolationKind::RoutingLoop,
-                    record_index: record,
-                    time_us,
-                    node: Some(node),
-                    detail: format!(
-                        "sdu {sdu} (copy {attempt}) {verb} at n{node} after {hops} hops, \
-                         escaping the route TTL of {ttl}"
-                    ),
-                    observed_us: Some(hops),
-                    allowed_us: Some(ttl),
-                });
-            }
-        }
+        let ttl = self.geometry.as_ref().and_then(|g| g.run.route_ttl);
+        let path = self.route_paths.path(copy.0, copy.1);
+        route_step(
+            &mut self.findings,
+            path,
+            ttl,
+            record,
+            time_us,
+            copy,
+            node,
+            hops,
+            verb,
+        );
     }
 
     /// Findings accumulated so far, in generation order.
@@ -305,7 +269,7 @@ impl MonitorSet {
     /// reserved intervals + in-flight routed paths): the monitor's
     /// working-set size.
     pub fn tracked(&self) -> usize {
-        self.live_tx + self.pending_rts.len() + self.reserved.len() + self.route_paths.len()
+        self.live_tx + self.pending_rts.len() + self.reserved.len() + self.route_paths.copies
     }
 
     /// The largest working set the monitors ever held — evidence that
@@ -671,6 +635,123 @@ impl MonitorSet {
                     allowed_us: Some(tolerance),
                 });
             }
+        }
+    }
+}
+
+/// Path state of the in-flight routed SDU copies, origin first.
+///
+/// Keyed by SDU id; each entry holds that SDU's live `(attempt, path)`
+/// copies — per copy, not per SDU, so a stale frame from an earlier
+/// transport attempt extends its own path instead of tripping the revisit
+/// check against the retry's. Each `route` record seeds its copy's path (a
+/// retry is a fresh copy, free to re-traverse the earlier copy's nodes);
+/// a copy's path goes on its delivery or copy-level loss, and a terminal
+/// drop removes the SDU's key with every copy under it. Every operation is
+/// one map access plus a scan of one SDU's copies (usually one), so a
+/// record costs O(1) however many copies are in flight, and the working
+/// set is bounded by the in-flight copy population.
+#[derive(Debug, Default)]
+struct RoutePaths {
+    by_sdu: HashMap<u64, Vec<(u64, Vec<usize>)>>,
+    /// Copies held in `by_sdu`, summed over SDUs.
+    copies: usize,
+}
+
+impl RoutePaths {
+    /// The path of copy `attempt` of `sdu`, created empty if the copy is
+    /// not tracked yet.
+    fn path(&mut self, sdu: u64, attempt: u64) -> &mut Vec<usize> {
+        // Most SDUs only ever have one copy in flight.
+        let copies = self
+            .by_sdu
+            .entry(sdu)
+            .or_insert_with(|| Vec::with_capacity(1));
+        let i = match copies.iter().position(|(a, _)| *a == attempt) {
+            Some(i) => i,
+            None => {
+                copies.push((attempt, Vec::new()));
+                self.copies += 1;
+                copies.len() - 1
+            }
+        };
+        &mut copies[i].1
+    }
+
+    /// Releases copy `attempt` of `sdu`, dropping the SDU's key with its
+    /// last copy.
+    fn retire_copy(&mut self, sdu: u64, attempt: u64) {
+        let Some(copies) = self.by_sdu.get_mut(&sdu) else {
+            return;
+        };
+        if let Some(i) = copies.iter().position(|(a, _)| *a == attempt) {
+            copies.swap_remove(i);
+            self.copies -= 1;
+            if copies.is_empty() {
+                self.by_sdu.remove(&sdu);
+            }
+        }
+    }
+
+    /// Releases every copy of `sdu`.
+    fn retire_sdu(&mut self, sdu: u64) {
+        if let Some(copies) = self.by_sdu.remove(&sdu) {
+            self.copies -= copies.len();
+        }
+    }
+}
+
+/// One relay/delivery step of a routed copy: fires
+/// [`ViolationKind::RoutingLoop`] if `node` is already on `path` or if
+/// `hops` escaped the route TTL, then appends `node` to `path`.
+#[allow(clippy::too_many_arguments)]
+fn route_step(
+    findings: &mut Vec<Violation>,
+    path: &mut Vec<usize>,
+    ttl: Option<u64>,
+    record: usize,
+    time_us: u64,
+    (sdu, attempt): (u64, u64),
+    node: usize,
+    hops: u64,
+    verb: &str,
+) {
+    if path.contains(&node) {
+        findings.push(Violation {
+            kind: ViolationKind::RoutingLoop,
+            record_index: record,
+            time_us,
+            node: Some(node),
+            detail: format!(
+                "sdu {sdu} (copy {attempt}) {verb} at n{node}, already on its path \
+                 {path:?}: depth-monotone forwarding revisited a node"
+            ),
+            observed_us: None,
+            allowed_us: None,
+        });
+    }
+    path.push(node);
+    if let Some(ttl) = ttl {
+        // A relay happens strictly before the TTL bites (`hops < ttl`);
+        // a delivery consumes one more hop and may reach it exactly.
+        let bound_exceeded = if verb == "delivered" {
+            hops > ttl
+        } else {
+            hops >= ttl
+        };
+        if bound_exceeded {
+            findings.push(Violation {
+                kind: ViolationKind::RoutingLoop,
+                record_index: record,
+                time_us,
+                node: Some(node),
+                detail: format!(
+                    "sdu {sdu} (copy {attempt}) {verb} at n{node} after {hops} hops, \
+                     escaping the route TTL of {ttl}"
+                ),
+                observed_us: Some(hops),
+                allowed_us: Some(ttl),
+            });
         }
     }
 }
@@ -1158,6 +1239,220 @@ mod tests {
             monitors.into_findings().is_empty(),
             "no false loop findings across retries"
         );
+    }
+
+    /// The `(sdu, attempt)`-keyed path map [`RoutePaths`] replaced: a
+    /// terminal drop `retain`s over every in-flight copy. Kept as the
+    /// differential oracle for the SDU-keyed index.
+    #[derive(Default)]
+    struct RetainOracle {
+        paths: HashMap<(u64, u64), Vec<usize>>,
+        ttl: Option<u64>,
+        findings: Vec<Violation>,
+        peak: usize,
+    }
+
+    impl RetainOracle {
+        fn observe(&mut self, ev: &ParsedRecord) {
+            match ev {
+                ParsedRecord::Route(ev) => {
+                    self.paths.insert((ev.sdu, ev.attempt), vec![ev.node]);
+                }
+                ParsedRecord::Relay(ev) => {
+                    let copy = (ev.sdu, ev.attempt);
+                    let path = self.paths.entry(copy).or_default();
+                    let (record, time, hops) = (ev.record, ev.time_us, ev.hops);
+                    route_step(
+                        &mut self.findings,
+                        path,
+                        self.ttl,
+                        record,
+                        time,
+                        copy,
+                        ev.node,
+                        hops,
+                        "relayed",
+                    );
+                }
+                ParsedRecord::RouteDrop(ev) => {
+                    if ev.terminal {
+                        let sdu = ev.sdu;
+                        self.paths.retain(|&(id, _), _| id != sdu);
+                    } else if let Some(attempt) = ev.attempt {
+                        self.paths.remove(&(ev.sdu, attempt));
+                    }
+                }
+                ParsedRecord::E2eDeliver(ev) => {
+                    let copy = (ev.sdu, ev.attempt);
+                    let path = self.paths.entry(copy).or_default();
+                    let (record, time, hops) = (ev.record, ev.time_us, ev.hops);
+                    route_step(
+                        &mut self.findings,
+                        path,
+                        self.ttl,
+                        record,
+                        time,
+                        copy,
+                        ev.node,
+                        hops,
+                        "delivered",
+                    );
+                    self.paths.remove(&copy);
+                }
+                other => panic!("not a route event: {other:?}"),
+            }
+            self.peak = self.peak.max(self.paths.len());
+        }
+    }
+
+    /// A seeded stream of route, relay, relay-drop, e2e-drop and
+    /// e2e-deliver events over a growing backlog: SDUs get several
+    /// transport attempts, relays walk a small node set (so paths revisit
+    /// nodes) with hop counts around the TTL, and events pick recent
+    /// copies whether or not they are still in flight — stale relays
+    /// re-create copies a drop already retired. Also returns how many
+    /// terminal drops hit an SDU with older copies still in flight.
+    fn route_stream(seed: u64, len: usize) -> (Vec<ParsedRecord>, usize) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut copies: Vec<(u64, u64)> = Vec::new();
+        let mut next_attempt: HashMap<u64, u64> = HashMap::new();
+        let mut live: HashMap<u64, usize> = HashMap::new();
+        let mut next_sdu = 0u64;
+        let mut multi_copy_terminals = 0;
+        let mut events = Vec::with_capacity(len);
+        for record in 0..len {
+            let time_us = 1_000 * record as u64;
+            let node = rng.gen_range(0..10usize);
+            let hops = rng.gen_range(0..7u64);
+            let recent = |rng: &mut StdRng, copies: &[(u64, u64)]| {
+                copies[copies.len() - 1 - rng.gen_range(0..copies.len().min(64))]
+            };
+            let roll = rng.gen_range(0..100u32);
+            let ev = if copies.is_empty() || roll < 15 {
+                let sdu = next_sdu;
+                next_sdu += 1;
+                next_attempt.insert(sdu, 1);
+                copies.push((sdu, 0));
+                *live.entry(sdu).or_default() += 1;
+                let route = RouteEvent {
+                    record,
+                    time_us,
+                    node,
+                    sdu,
+                    next_hop: 0,
+                    attempt: 0,
+                };
+                ParsedRecord::Route(route)
+            } else if roll < 27 {
+                let (sdu, _) = recent(&mut rng, &copies);
+                let attempt = next_attempt.entry(sdu).or_default();
+                let route = RouteEvent {
+                    record,
+                    time_us,
+                    node,
+                    sdu,
+                    next_hop: 0,
+                    attempt: *attempt,
+                };
+                copies.push((sdu, *attempt));
+                *attempt += 1;
+                *live.entry(sdu).or_default() += 1;
+                ParsedRecord::Route(route)
+            } else if roll < 70 {
+                let (sdu, attempt) = recent(&mut rng, &copies);
+                ParsedRecord::Relay(RelayEvent {
+                    record,
+                    time_us,
+                    node,
+                    sdu,
+                    origin: 0,
+                    next_hop: 0,
+                    attempt,
+                    hops,
+                    bits: 64,
+                })
+            } else if roll < 80 {
+                let (sdu, attempt) = recent(&mut rng, &copies);
+                ParsedRecord::E2eDeliver(E2eDeliverEvent {
+                    record,
+                    time_us,
+                    node,
+                    sdu,
+                    origin: 0,
+                    attempt,
+                    hops,
+                    e2e_us: 1,
+                })
+            } else {
+                let (sdu, attempt) = recent(&mut rng, &copies);
+                let terminal = roll >= 90;
+                if terminal && live.remove(&sdu).unwrap_or(0) > 1 {
+                    multi_copy_terminals += 1;
+                }
+                ParsedRecord::RouteDrop(RouteDropEvent {
+                    record,
+                    time_us,
+                    node,
+                    sdu,
+                    origin: 0,
+                    // Retry-exhaustion drops name no copy.
+                    attempt: (roll % 3 != 0).then_some(attempt),
+                    hops: Some(hops),
+                    attempts: None,
+                    reason: "unroutable".to_string(),
+                    terminal,
+                })
+            };
+            events.push(ev);
+        }
+        (events, multi_copy_terminals)
+    }
+
+    #[test]
+    fn sdu_keyed_paths_match_the_retain_oracle() {
+        let ttl = 5;
+        let ParsedRecord::RunInfo(info) = parse_record(0, &routed_run_info_record(ttl)) else {
+            panic!("run-info parses");
+        };
+        for seed in 0..4 {
+            let (events, multi_copy_terminals) = route_stream(seed, 20_000);
+            assert!(
+                multi_copy_terminals > 100,
+                "seed {seed}: {multi_copy_terminals}"
+            );
+            let mut monitors = MonitorSet::new();
+            monitors.observe_run_info(&info);
+            let mut oracle = RetainOracle {
+                ttl: Some(ttl),
+                ..RetainOracle::default()
+            };
+            for (i, ev) in events.iter().enumerate() {
+                match ev {
+                    ParsedRecord::Route(e) => monitors.observe_route(e),
+                    ParsedRecord::Relay(e) => monitors.observe_relay(e),
+                    ParsedRecord::RouteDrop(e) => monitors.observe_route_drop(e),
+                    ParsedRecord::E2eDeliver(e) => monitors.observe_e2e_deliver(e),
+                    other => panic!("{other:?}"),
+                }
+                oracle.observe(ev);
+                assert_eq!(
+                    monitors.tracked(),
+                    oracle.paths.len(),
+                    "seed {seed}, event {i}: {ev:?}"
+                );
+            }
+            assert_eq!(monitors.peak_tracked(), oracle.peak, "seed {seed}");
+            assert!(oracle.peak > 100, "the backlog grows: peak {}", oracle.peak);
+            let findings = monitors.into_findings();
+            let revisits = findings.iter().filter(|v| v.observed_us.is_none()).count();
+            assert!(
+                revisits > 0 && revisits < findings.len(),
+                "both loop kinds fire"
+            );
+            assert_eq!(findings, oracle.findings, "seed {seed}");
+        }
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //! receiving MAC (addressed or overheard).
 
 use std::collections::HashMap;
+use std::rc::Rc;
 
 use rand::rngs::StdRng;
 
@@ -66,10 +67,11 @@ enum NetEvent {
     TxStart { node: u32, token: u64 },
     /// A transmission finished.
     TxEnd { node: u32, token: u64 },
-    /// A frame's first bit reaches a receiver.
-    RxStart { token: u64 },
+    /// A frame's first bit reaches a receiver; `slot` indexes the
+    /// reception in [`RxSlab`].
+    RxStart { slot: u32 },
     /// A frame's last bit reaches a receiver.
-    RxEnd { token: u64 },
+    RxEnd { slot: u32 },
     /// A MAC timer fires.
     Timer { node: u32, token: TimerToken },
     /// Advance drifting nodes.
@@ -149,10 +151,14 @@ impl ClockStats {
     }
 }
 
+/// One booked arrival of a transmission at one receiver. Every arrival of
+/// a transmission (and the sender's `inflight_tx` entry) shares the one
+/// stamped frame through an `Rc`, so booking a receiver never copies the
+/// frame's `announced`/`bundle` vectors.
 #[derive(Debug)]
 struct PendingRx {
     node: u32,
-    frame: Frame,
+    frame: Rc<Frame>,
     arrival_start: SimTime,
     /// Global send instant — the true-propagation reference. The frame's
     /// own `timestamp` is the *sender-local* reading and drifts with it.
@@ -164,6 +170,60 @@ struct PendingRx {
     /// Surface echoes occupy the receiver but never decode.
     is_echo: bool,
     rid: Option<ReceptionId>,
+}
+
+/// In-flight receptions, indexed by the slot number their `RxStart`/`RxEnd`
+/// events carry: a `Vec` of slots plus a free list, so booking and
+/// retiring a reception is O(1) with no hashing. Freed slots are reused
+/// last-in first-out, so the slab grows only when every slot is live and
+/// its length is the peak number of simultaneously pending receptions.
+/// Slot numbers are bookkeeping only: they are never traced and never
+/// order events.
+#[derive(Debug, Default)]
+struct RxSlab {
+    slots: Vec<Option<PendingRx>>,
+    free: Vec<u32>,
+    /// Receptions booked over the run (tests only).
+    #[cfg(test)]
+    booked: u64,
+    /// Most receptions ever pending at once (tests only).
+    #[cfg(test)]
+    peak_live: usize,
+}
+
+impl RxSlab {
+    fn insert(&mut self, rx: PendingRx) -> u32 {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = Some(rx);
+                slot
+            }
+            None => {
+                self.slots.push(Some(rx));
+                (self.slots.len() - 1) as u32
+            }
+        };
+        #[cfg(test)]
+        {
+            self.booked += 1;
+            self.peak_live = self.peak_live.max(self.slots.len() - self.free.len());
+        }
+        slot
+    }
+
+    fn get_mut(&mut self, slot: u32) -> &mut PendingRx {
+        self.slots[slot as usize]
+            .as_mut()
+            .expect("RxStart without pending reception")
+    }
+
+    fn remove(&mut self, slot: u32) -> PendingRx {
+        let rx = self.slots[slot as usize]
+            .take()
+            .expect("RxEnd without pending reception");
+        self.free.push(slot);
+        rx
+    }
 }
 
 /// Live state of the routing + transport subsystem; `Some` iff
@@ -263,9 +323,12 @@ struct NetworkWorld {
     /// visited while MAC-level duplicates of one copy still dedup.
     delivered: std::collections::HashSet<(u64, u32, u64)>,
     cmd_buf: Vec<MacCommand>,
+    /// Empty buffer swapped with [`Self::cmd_buf`] while one MAC call's
+    /// commands are applied, so dispatch reuses both allocations.
+    cmd_spare: Vec<MacCommand>,
     pending_tx: HashMap<u64, Frame>,
-    inflight_tx: HashMap<u64, Frame>,
-    pending_rx: HashMap<u64, PendingRx>,
+    inflight_tx: HashMap<u64, Rc<Frame>>,
+    pending_rx: RxSlab,
     timers: HashMap<(u32, u64), uasn_sim::event::EventKey>,
     /// Scratch for the fan-out's batched event pushes: `schedule_arrival` /
     /// `schedule_echo` stage their `RxStart`/`RxEnd` pairs here and
@@ -421,10 +484,12 @@ impl NetworkWorld {
             f(mac.as_mut(), &mut ctx);
         }
         self.macs[node] = Some(mac);
-        let commands: Vec<MacCommand> = self.cmd_buf.drain(..).collect();
-        for cmd in commands {
+        let spare = std::mem::take(&mut self.cmd_spare);
+        let mut commands = std::mem::replace(&mut self.cmd_buf, spare);
+        for cmd in commands.drain(..) {
             self.apply_command(sched, node, cmd);
         }
+        self.cmd_spare = commands;
     }
 
     fn apply_command(&mut self, sched: &mut Schedule<'_, NetEvent>, node: usize, cmd: MacCommand) {
@@ -564,6 +629,9 @@ impl NetworkWorld {
             (frame.to_string(), fields)
         });
 
+        // Every arrival shares this one stamped frame.
+        let frame = Rc::new(frame);
+
         // Fan out arrivals to every audible node. Both paths visit audible
         // receivers in ascending index order and call the same arithmetic
         // on the same `(distance, snr)` pairs, so the channel-RNG stream —
@@ -635,42 +703,36 @@ impl NetworkWorld {
         );
     }
 
-    /// Books one direct-path reception: pending-rx entry plus its
+    /// Books one direct-path reception: pending-rx slot plus its
     /// `RxStart`/`RxEnd` pair staged into [`Self::event_buf`] (the caller
-    /// flushes the whole fan-out in one batch). Token allocation order is
-    /// part of the determinism contract shared by the fast and reference
-    /// fan-outs.
+    /// flushes the whole fan-out in one batch). Each booking still draws a
+    /// token, so transmission tokens keep the numbering the fast and
+    /// reference fan-outs share.
     fn schedule_arrival(
         &mut self,
         rx_node: u32,
-        frame: &Frame,
+        frame: &Rc<Frame>,
         group: u64,
         delay: SimDuration,
         duration: SimDuration,
         pre_lost: bool,
     ) {
-        let rx_token = self.next_token;
         self.next_token += 1;
         let arrival_start = self.now + delay;
-        self.pending_rx.insert(
-            rx_token,
-            PendingRx {
-                node: rx_node,
-                frame: frame.clone(),
-                arrival_start,
-                sent_at: self.now,
-                pre_lost,
-                group,
-                is_echo: false,
-                rid: None,
-            },
-        );
+        let slot = self.pending_rx.insert(PendingRx {
+            node: rx_node,
+            frame: Rc::clone(frame),
+            arrival_start,
+            sent_at: self.now,
+            pre_lost,
+            group,
+            is_echo: false,
+            rid: None,
+        });
         self.event_buf
-            .push((arrival_start, NetEvent::RxStart { token: rx_token }));
-        self.event_buf.push((
-            arrival_start + duration,
-            NetEvent::RxEnd { token: rx_token },
-        ));
+            .push((arrival_start, NetEvent::RxStart { slot }));
+        self.event_buf
+            .push((arrival_start + duration, NetEvent::RxEnd { slot }));
     }
 
     /// Books one surface-echo reception: occupies the receiver, never
@@ -678,31 +740,27 @@ impl NetworkWorld {
     fn schedule_echo(
         &mut self,
         rx_node: u32,
-        frame: &Frame,
+        frame: &Rc<Frame>,
         group: u64,
         echo_delay: SimDuration,
         duration: SimDuration,
     ) {
-        let echo_token = self.next_token;
         self.next_token += 1;
         let echo_start = self.now + echo_delay;
-        self.pending_rx.insert(
-            echo_token,
-            PendingRx {
-                node: rx_node,
-                frame: frame.clone(),
-                arrival_start: echo_start,
-                sent_at: self.now,
-                pre_lost: true,
-                group,
-                is_echo: true,
-                rid: None,
-            },
-        );
+        let slot = self.pending_rx.insert(PendingRx {
+            node: rx_node,
+            frame: Rc::clone(frame),
+            arrival_start: echo_start,
+            sent_at: self.now,
+            pre_lost: true,
+            group,
+            is_echo: true,
+            rid: None,
+        });
         self.event_buf
-            .push((echo_start, NetEvent::RxStart { token: echo_token }));
+            .push((echo_start, NetEvent::RxStart { slot }));
         self.event_buf
-            .push((echo_start + duration, NetEvent::RxEnd { token: echo_token }));
+            .push((echo_start + duration, NetEvent::RxEnd { slot }));
     }
 
     fn handle_tx_end(&mut self, sched: &mut Schedule<'_, NetEvent>, node: usize, token: u64) {
@@ -716,11 +774,8 @@ impl NetworkWorld {
         self.with_mac(sched, node, |mac, ctx| mac.on_frame_sent(ctx, &frame));
     }
 
-    fn handle_rx_start(&mut self, token: u64) {
-        let entry = self
-            .pending_rx
-            .get_mut(&token)
-            .expect("RxStart without pending reception");
+    fn handle_rx_start(&mut self, slot: u32) {
+        let entry = self.pending_rx.get_mut(slot);
         let node = entry.node as usize;
         let duration = self.spec.tx_duration(entry.frame.bits);
         let rid =
@@ -729,11 +784,8 @@ impl NetworkWorld {
         self.sync_energy(node);
     }
 
-    fn handle_rx_end(&mut self, sched: &mut Schedule<'_, NetEvent>, token: u64) {
-        let entry = self
-            .pending_rx
-            .remove(&token)
-            .expect("RxEnd without pending reception");
+    fn handle_rx_end(&mut self, sched: &mut Schedule<'_, NetEvent>, slot: u32) {
+        let entry = self.pending_rx.remove(slot);
         let node = entry.node as usize;
         let rid = entry.rid.expect("reception never started");
         let survived = self.modems[node].end_reception(self.now, rid);
@@ -819,8 +871,7 @@ impl NetworkWorld {
         // …then account data deliveries (every SDU riding the frame) and
         // forward toward the surface.
         if addressed && frame.kind.is_data() {
-            let sdus: Vec<Sdu> = frame.sdus().copied().collect();
-            for sdu in sdus {
+            for &sdu in frame.sdus() {
                 let copy = if self.route.is_some() {
                     sdu.created.as_micros()
                 } else {
@@ -1539,8 +1590,8 @@ impl uasn_sim::engine::World for NetworkWorld {
             NetEvent::TxEnd { node, token } => {
                 self.handle_tx_end(sched, node as usize, token);
             }
-            NetEvent::RxStart { token } => self.handle_rx_start(token),
-            NetEvent::RxEnd { token } => self.handle_rx_end(sched, token),
+            NetEvent::RxStart { slot } => self.handle_rx_start(slot),
+            NetEvent::RxEnd { slot } => self.handle_rx_end(sched, slot),
             NetEvent::Timer { node, token } => {
                 // Only dispatch if still armed (re-arm cancels stale fires).
                 if self.timers.remove(&(node, token.0)).is_some() {
@@ -1801,9 +1852,10 @@ impl Simulation {
             metrics,
             delivered: std::collections::HashSet::new(),
             cmd_buf: Vec::new(),
+            cmd_spare: Vec::new(),
             pending_tx: HashMap::new(),
             inflight_tx: HashMap::new(),
-            pending_rx: HashMap::new(),
+            pending_rx: RxSlab::default(),
             timers: HashMap::new(),
             event_buf: Vec::new(),
             next_token: 0,
@@ -2371,6 +2423,77 @@ mod tests {
             let counts = profile.metrics.counter("phy.cache.degree_counts");
             assert_eq!(counts > 0, mobile, "degree counts: {counts}");
         }
+    }
+
+    #[test]
+    fn rx_slab_holds_only_the_peak_of_pending_receptions() {
+        let long_static = small_cfg()
+            .with_offered_load_kbps(1.0)
+            .with_sim_time(SimDuration::from_secs(1_800));
+        // Shallow water, so the two-ray channel's surface echoes arrive.
+        let mut echo_mobile = long_static.clone().with_mobility(0.5);
+        echo_mobile.deployment = crate::topology::Deployment::LayeredColumn {
+            extent_m: 2_000.0,
+            layers: 3,
+            layer_spacing_m: 150.0,
+        };
+        echo_mobile.channel = AcousticChannel::paper_default().with_two_ray(6.0);
+        for (name, cfg) in [("static", long_static), ("echo mobile", echo_mobile)] {
+            let mut sim = Simulation::new(cfg, &blast_factory).unwrap();
+            sim.engine.run_profiled(&mut sim.world, sim.horizon);
+            let world = &sim.world;
+            if name == "echo mobile" {
+                let n = world.node_count();
+                let echoes = (0..n)
+                    .flat_map(|i| (0..n).map(move |j| (i, j)))
+                    .filter(|&(i, j)| {
+                        let (a, b) = (world.positions.get(i), world.positions.get(j));
+                        i != j && world.channel.is_audible(a, b) && world.channel.echo_audible(a, b)
+                    })
+                    .count();
+                assert!(echoes > 0, "the two-ray world books echoes");
+            }
+            let slab = &world.pending_rx;
+            assert_eq!(slab.slots.len(), slab.peak_live, "{name}");
+            assert!(
+                slab.booked > 100 * slab.slots.len() as u64,
+                "{name}: {} booked into {} slots",
+                slab.booked,
+                slab.slots.len()
+            );
+            // Every slot is either live or on the free list, exactly once:
+            // no slot was freed twice.
+            let mut free = slab.free.clone();
+            free.sort_unstable();
+            free.dedup();
+            assert_eq!(
+                free.len(),
+                slab.free.len(),
+                "{name}: a slot was freed twice"
+            );
+            assert!(free.iter().all(|&f| slab.slots[f as usize].is_none()));
+            let live = slab.slots.iter().filter(|s| s.is_some()).count();
+            assert_eq!(live + free.len(), slab.slots.len(), "{name}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "RxEnd without pending reception")]
+    fn rx_slab_refuses_to_free_a_slot_twice() {
+        let frame = Frame::control(FrameKind::Rts, NodeId::new(0), NodeId::new(1), 64);
+        let mut slab = RxSlab::default();
+        let slot = slab.insert(PendingRx {
+            node: 1,
+            frame: Rc::new(frame),
+            arrival_start: SimTime::ZERO,
+            sent_at: SimTime::ZERO,
+            pre_lost: false,
+            group: 0,
+            is_echo: false,
+            rid: None,
+        });
+        slab.remove(slot);
+        slab.remove(slot);
     }
 
     #[test]

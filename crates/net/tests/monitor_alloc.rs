@@ -7,20 +7,31 @@
 //!
 //! Uses a counting global allocator wrapping the system one. This lives in
 //! an integration test (its own crate) because the library forbids unsafe
-//! code and `GlobalAlloc` is an unsafe trait.
+//! code and `GlobalAlloc` is an unsafe trait. The count is per thread, so
+//! allocations made by sibling tests running in parallel (the harness's
+//! default) never leak into a measurement.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use uasn_net::metrics::{DropVerdict, VerdictHistogram};
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and drop-free: reading it never allocates and
+    // never registers a destructor, so the allocator may touch it at any
+    // point of a thread's life.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
         System.alloc(layout)
     }
 
@@ -33,9 +44,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 static GLOBAL: CountingAllocator = CountingAllocator;
 
 fn allocations_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     f();
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    allocations() - before
 }
 
 #[test]
