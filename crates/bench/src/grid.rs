@@ -188,12 +188,21 @@ fn bad_data(message: String) -> io::Error {
 ///
 /// # Errors
 ///
-/// Fails on journal I/O errors, a journal whose header does not describe
-/// this exact sweep, an interior-corrupt journal, or a journaled payload
-/// that does not decode (all surfaced as [`io::Error`]). A *panicking
-/// cell* is not an error — it is recorded in [`SweepOutcome::failed`] and
-/// retried on the next resume.
+/// Fails with [`io::ErrorKind::InvalidInput`] when `opts.seeds` is 0,
+/// before any journal is opened: a zero-seed sweep has no cells, and its
+/// all-zero figure would pass for a real result. Otherwise fails on
+/// journal I/O errors, a journal whose header does not describe this
+/// exact sweep, an interior-corrupt journal, or a journaled payload that
+/// does not decode (all surfaced as [`io::Error`]). A *panicking cell* is
+/// not an error — it is recorded in [`SweepOutcome::failed`] and retried
+/// on the next resume.
 pub fn run_sweep(specs: &[&'static FigureSpec], opts: &SweepOptions) -> io::Result<SweepOutcome> {
+    if opts.seeds == 0 {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "seeds must be at least 1",
+        ));
+    }
     let (table, refs) = expand(specs, opts.seeds);
     let total = table.len();
     let ids: Vec<String> = table.jobs.iter().map(JobKey::id).collect();

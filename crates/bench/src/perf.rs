@@ -1,15 +1,11 @@
 //! Seeded hot-path performance scenarios (the `perf` bin's engine room).
 //!
-//! Each scenario runs one fixed `(protocol, grid, seed)` cell on both the
-//! cached fan-out fast path and the recompute-everything reference path
-//! (`SimConfig::with_fastpath(false)`). Because the two paths are
-//! bit-identical by construction (see the golden-trace suite), the
-//! events-processed counts must match exactly and the only difference is
-//! wall time; the ratio is the measured speedup the `BENCH_perf.json`
-//! trajectory tracks across PRs. The `swarm*` cells instead time the
-//! spatial grid index against the indexless fast path (the recompute
-//! reference is intractable at 10k nodes), so their speedup isolates the
-//! grid's candidate pruning.
+//! Each scenario runs one fixed `(protocol, grid, seed)` cell through the
+//! simulator's one link path, the cached fan-out, and reports full-run
+//! events per wall-clock second; that figure is what the `BENCH_perf.json`
+//! trajectory tracks across PRs. The cache's equivalence to a brute-force
+//! O(N) scan is the business of `uasn-net`'s differential tests, not of
+//! this harness.
 //!
 //! ## Noise discipline (schema v2)
 //!
@@ -17,15 +13,15 @@
 //! machine was doing. Version 2 of the harness therefore discards *warmup
 //! rounds* (they page in the binary, warm the allocator, and settle CPU
 //! frequency), then times *N repeat rounds* and reports the **median**
-//! per path. Within every round the three configurations (fast,
-//! reference, profiled) run back to back, so slow drift in machine speed
-//! lands on all paths equally instead of skewing whichever path happened
-//! to run last. The raw repeat list is kept in the JSON so a reviewer can
-//! judge the spread. The committed `BENCH_perf.json` also carries a
-//! bounded `history` of prior summaries, giving the perf-regression gate
-//! a trajectory rather than a single point.
+//! per configuration. Within every round the two configurations (fast,
+//! profiled) run back to back, so slow drift in machine speed lands on
+//! both equally instead of skewing whichever happened to run last. The
+//! raw repeat list is kept in the JSON so a reviewer can judge the
+//! spread. The committed `BENCH_perf.json` also carries a bounded
+//! `history` of prior summaries, giving the perf-regression gate a
+//! trajectory rather than a single point.
 //!
-//! A third, *profiled* pass (fast path + [`SimConfig::with_profiling`])
+//! The *profiled* pass (the same config plus [`SimConfig::with_profiling`])
 //! measures the observability tax: `overhead_pct` is the profiled median
 //! against the unprofiled fast median, and the scenario's
 //! [`ProfileReport`] rides along in the document for `obs_report profile`.
@@ -68,11 +64,7 @@ pub struct PerfScenario {
     /// retransmission cost lands inside the regression gate.
     pub routed: bool,
     /// Swarm variant: a wide mobile column at the swarm goldens' per-layer
-    /// density. The scenario's *reference* path disables the spatial index
-    /// (`with_spatial_index(false)`) instead of the whole fast path, so the
-    /// reported speedup isolates what the grid buys over the brute-force
-    /// O(N) fan-out scan — the recompute-everything reference would be
-    /// intractable at 10k nodes.
+    /// density, where the spatial grid prunes every row build.
     pub swarm: bool,
 }
 
@@ -111,22 +103,11 @@ impl PerfScenario {
         }
         cfg
     }
-
-    /// The configuration this scenario's *reference* timing runs: the
-    /// recompute-everything path normally, the indexless fast path for
-    /// swarm cells (see [`PerfScenario::swarm`]).
-    pub fn reference_config(&self) -> SimConfig {
-        if self.swarm {
-            self.config().with_fastpath(true).with_spatial_index(false)
-        } else {
-            self.config().with_fastpath(false)
-        }
-    }
 }
 
 /// The fixed scenario roster: EW-MAC and S-FAMA on small / medium / large
-/// grids. "Medium" is the paper's Table 2 shape (60 sensors, 300 s) — the
-/// cell the ≥2x acceptance gate is measured on.
+/// grids ("medium" is the paper's Table 2 shape, 60 sensors, 300 s), plus
+/// one routed and two swarm EW-MAC cells.
 pub const SCENARIOS: &[PerfScenario] = &[
     PerfScenario {
         name: "small-ewmac",
@@ -187,11 +168,9 @@ pub const SCENARIOS: &[PerfScenario] = &[
         routed: true,
         swarm: false,
     },
-    // Swarm fan-out: wide mobile columns where every transmission's
-    // candidate scan is the dominant cost. These two cells time the
-    // spatial grid index against the indexless scan (not the recompute
-    // reference — see `PerfScenario::swarm`), pinning the measured
-    // speedup at 1k and 10k nodes in the `BENCH_perf.json` trajectory.
+    // Swarm fan-out: wide mobile columns where construction and the
+    // per-transmission row rebuilds dominate, pinning full-run throughput
+    // at 1k and 10k nodes in the `BENCH_perf.json` trajectory.
     PerfScenario {
         name: "swarm1k-ewmac",
         protocol: Protocol::EwMac,
@@ -211,7 +190,8 @@ pub const SCENARIOS: &[PerfScenario] = &[
 ];
 
 /// Scenarios whose name starts with `prefix` (`"small"`, `"medium"`,
-/// `"large"`), or all of them for `"all"`.
+/// `"large"`, `"route"`, `"swarm"`, or any longer name prefix such as
+/// `"swarm10k"`), or all of them for `"all"`.
 pub fn scenarios_matching(prefix: &str) -> Vec<PerfScenario> {
     SCENARIOS
         .iter()
@@ -242,8 +222,7 @@ pub fn median_us(samples: &[u64]) -> u64 {
 /// The timed wall covers the **full run** — world construction (topology
 /// build, the link-row build behind the neighbour tables) plus the event
 /// loop — not just the engine's own `RunStats::wall`. At swarm node counts
-/// the construction phase is where the spatial index pays off hardest (the
-/// unindexed row build is O(N²)), and a metric that ignored it
+/// construction is a large share of the run, and a metric that ignored it
 /// would miss exactly the regressions the swarm cells exist to catch.
 #[derive(Debug, Clone)]
 pub struct PathTiming {
@@ -277,16 +256,14 @@ impl PathTiming {
 pub struct ScenarioResult {
     /// The scenario that ran.
     pub scenario: PerfScenario,
-    /// Timing of the cached-fan-out runs.
-    pub fastpath: PathTiming,
-    /// Timing of the reference (recompute) runs.
-    pub reference: PathTiming,
-    /// Timing of the profiled fast-path runs (`None` when the profiled
-    /// pass was skipped).
+    /// Timing of the plain (unprofiled) runs.
+    pub fast: PathTiming,
+    /// Timing of the profiled runs (`None` when the profiled pass was
+    /// skipped).
     pub profiled: Option<PathTiming>,
     /// The profile from the profiled pass.
     pub profile: Option<ProfileReport>,
-    /// SDUs generated per run (deterministic across paths and repeats) —
+    /// SDUs generated per run (deterministic across runs) —
     /// the traffic-volume witness for the heavy-load scenarios.
     pub sdus_generated: u64,
     /// Whether every run produced the same metrics report (they must;
@@ -296,21 +273,11 @@ pub struct ScenarioResult {
 }
 
 impl ScenarioResult {
-    /// Median events/sec ratio, fast over reference.
-    pub fn speedup(&self) -> f64 {
-        let reference = self.reference.events_per_sec();
-        if reference > 0.0 {
-            self.fastpath.events_per_sec() / reference
-        } else {
-            0.0
-        }
-    }
-
     /// Profiling tax: profiled median wall over unprofiled, as a
     /// percentage (`Some(4.2)` = profiling costs 4.2%).
     pub fn overhead_pct(&self) -> Option<f64> {
         let profiled = self.profiled.as_ref()?.median_wall_us() as f64;
-        let plain = self.fastpath.median_wall_us() as f64;
+        let plain = self.fast.median_wall_us() as f64;
         (plain > 0.0).then(|| (profiled / plain - 1.0) * 100.0)
     }
 
@@ -357,9 +324,7 @@ impl ScenarioResult {
                 "sdus_generated".to_string(),
                 JsonValue::from_u64(self.sdus_generated),
             ),
-            ("fastpath".to_string(), path(&self.fastpath)),
-            ("reference".to_string(), path(&self.reference)),
-            ("speedup".to_string(), JsonValue::from_f64(self.speedup())),
+            ("fastpath".to_string(), path(&self.fast)),
             (
                 "reports_equal".to_string(),
                 JsonValue::Bool(self.reports_equal),
@@ -424,44 +389,32 @@ impl PathAccum {
     }
 }
 
-/// Runs one scenario on the fast path, the reference path, and the
-/// profiled pass.
+/// Runs one scenario plain and profiled.
 ///
-/// Each warmup round runs all three configurations once, discarded; then
-/// each of the `repeats` (min 1) timed rounds runs all three **back to
-/// back**. Interleaving matters: machine speed drifts on multi-second
-/// timescales (frequency scaling, noisy neighbours), and timing each path
-/// as its own block would hand different paths different machines. With
-/// round-robin rounds every path samples the same drift, so the per-path
-/// medians — and the speedup/overhead ratios built from them — stay
-/// comparable.
+/// Each warmup round runs both configurations once, discarded; then each
+/// of the `repeats` (min 1) timed rounds runs both **back to back**.
+/// Interleaving matters: machine speed drifts on multi-second timescales
+/// (frequency scaling, noisy neighbours), and timing each configuration
+/// as its own block would hand them different machines. With round-robin
+/// rounds both sample the same drift, so their medians — and the
+/// overhead ratio built from them — stay comparable.
 pub fn run_scenario_with(scenario: PerfScenario, warmup: u32, repeats: u32) -> ScenarioResult {
-    let cfg = scenario.config();
-    let fast_cfg = cfg.clone().with_fastpath(true);
-    let reference_cfg = scenario.reference_config();
-    // Profiled pass: fast path + registry + instrumented engine loop. The
-    // report must *still* match — profiling is contractually invisible.
-    let profiled_cfg = cfg.with_fastpath(true).with_profiling(true);
+    let fast_cfg = scenario.config();
+    // Profiled pass: registry + instrumented engine loop. The report must
+    // *still* match — profiling is contractually invisible.
+    let profiled_cfg = fast_cfg.clone().with_profiling(true);
     let mut expect = None;
     let mut equal = true;
     for _ in 0..warmup {
         checked_run(&fast_cfg, scenario.protocol, &mut expect, &mut equal);
-        checked_run(&reference_cfg, scenario.protocol, &mut expect, &mut equal);
         checked_run(&profiled_cfg, scenario.protocol, &mut expect, &mut equal);
     }
-    let mut fastpath = PathAccum::default();
-    let mut reference = PathAccum::default();
+    let mut fast = PathAccum::default();
     let mut profiled = PathAccum::default();
     let mut profile = None;
     for _ in 0..repeats.max(1) {
-        fastpath.push(checked_run(
+        fast.push(checked_run(
             &fast_cfg,
-            scenario.protocol,
-            &mut expect,
-            &mut equal,
-        ));
-        reference.push(checked_run(
-            &reference_cfg,
             scenario.protocol,
             &mut expect,
             &mut equal,
@@ -472,8 +425,7 @@ pub fn run_scenario_with(scenario: PerfScenario, warmup: u32, repeats: u32) -> S
     }
     ScenarioResult {
         scenario,
-        fastpath: fastpath.finish(),
-        reference: reference.finish(),
+        fast: fast.finish(),
         profiled: Some(profiled.finish()),
         profile,
         sdus_generated: expect.as_ref().map_or(0, |r| r.sdus_generated),
@@ -534,7 +486,7 @@ fn scenario_events_per_sec(scenario: &JsonValue) -> Option<f64> {
 }
 
 /// Compresses a full document into one history entry: per-scenario
-/// events/sec and speedup, without raw run lists or profiles.
+/// events/sec, without raw run lists or profiles.
 fn summarize_doc(doc: &JsonValue) -> Option<JsonValue> {
     let scenarios = doc.get("scenarios")?.as_array()?;
     let entries: Vec<JsonValue> = scenarios
@@ -544,9 +496,6 @@ fn summarize_doc(doc: &JsonValue) -> Option<JsonValue> {
             let mut fields = vec![("name".to_string(), JsonValue::from_string(name))];
             if let Some(eps) = scenario_events_per_sec(s) {
                 fields.push(("events_per_sec".to_string(), JsonValue::from_f64(eps)));
-            }
-            if let Some(speedup) = s.get("speedup").and_then(JsonValue::as_f64) {
-                fields.push(("speedup".to_string(), JsonValue::from_f64(speedup)));
             }
             Some(JsonValue::Object(fields))
         })
@@ -622,13 +571,6 @@ mod tests {
         assert!(scenarios_matching("nonsense").is_empty());
         for s in SCENARIOS {
             s.config().validate().expect("scenario config is valid");
-            s.reference_config()
-                .validate()
-                .expect("reference config is valid");
-            // Swarm cells time the index against the indexless scan; the
-            // reference must therefore still be the fast path.
-            assert_eq!(s.reference_config().fastpath, s.swarm);
-            assert_eq!(s.reference_config().spatial_index, !s.swarm);
         }
     }
 
@@ -645,8 +587,8 @@ mod tests {
     #[test]
     fn small_scenario_runs_and_serialises() {
         // A miniature cell keeps this test cheap while exercising the full
-        // triple-run (fast / reference / profiled) + JSON pipeline the bin
-        // uses, including two timed repeats so medians are real.
+        // double run (fast / profiled) + JSON pipeline the bin uses,
+        // including two timed repeats so medians are real.
         let tiny = PerfScenario {
             name: "tiny-ewmac",
             protocol: Protocol::EwMac,
@@ -656,12 +598,13 @@ mod tests {
             swarm: false,
         };
         let result = run_scenario_with(tiny, 0, 2);
-        assert!(result.reports_equal, "paths or profiling diverged");
+        assert!(result.reports_equal, "profiling diverged");
+        let profiled = result.profiled.as_ref().expect("profiled pass ran");
         assert_eq!(
-            result.fastpath.stats.events_processed,
-            result.reference.stats.events_processed
+            result.fast.stats.events_processed,
+            profiled.stats.events_processed
         );
-        assert_eq!(result.fastpath.runs_us.len(), 2);
+        assert_eq!(result.fast.runs_us.len(), 2);
         let profile = result.profile.as_ref().expect("profiled pass ran");
         assert!(profile.engine.sampled_events > 0);
         assert!(result.overhead_pct().is_some());
@@ -707,7 +650,6 @@ mod tests {
                                         JsonValue::from_f64(eps),
                                     )]),
                                 ),
-                                ("speedup".to_string(), JsonValue::from_f64(2.0)),
                             ])
                         })
                         .collect(),

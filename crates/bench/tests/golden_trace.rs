@@ -1,18 +1,22 @@
-//! Golden-trace regression suite for the fan-out fast path.
+//! Golden-trace regression suite for the simulator's one fan-out path.
 //!
 //! Every protocol in the roster runs a fixed seeded scenario at two node
-//! densities, through the cached fan-out fast path, the same fast path with
-//! performance profiling enabled, the same fast path with the online
-//! invariant monitors attached, and the recompute-everything reference
-//! path. All four JSONL trace exports must be
-//! **byte-identical** — the strongest behavioural-equivalence check the
-//! simulator offers, since the Debug-level trace records every event the
-//! engine processes — and their FNV-1a hash must match the golden checked
-//! into `tests/goldens/`, so a behaviour change in *either* path fails the
-//! suite even if both paths drift together. The monitored pass additionally
-//! asserts online/post-hoc parity: over the invariants the streaming
-//! monitors cover, their findings must equal the offline checker's replay
-//! of the exported trace.
+//! densities, plain, with performance profiling enabled, and with the
+//! online invariant monitors attached. All three JSONL trace exports must
+//! be **byte-identical** — the strongest behavioural-equivalence check
+//! the simulator offers, since the Debug-level trace records every event
+//! the engine processes — and their FNV-1a hash must match the golden
+//! checked into `tests/goldens/`, so any behaviour change fails the
+//! suite. The monitored pass additionally asserts online/post-hoc parity:
+//! over the invariants the streaming monitors cover, their findings must
+//! equal the offline checker's replay of the exported trace. A third,
+//! 1 000-node swarm density pins the hash of a plain run.
+//!
+//! The link cache's equivalence to a brute-force O(N) scan is checked
+//! live in `uasn-net`'s `world::tests` (small static and mobile worlds and
+//! a mobile 1 000-node column, each run through the cache and through the
+//! test-only scan) and in `uasn-phy`'s `grid_diff`/`cache_diff` property
+//! tests.
 //!
 //! To bless new goldens after an intentional behaviour change:
 //!
@@ -149,8 +153,8 @@ fn write_goldens(density: &str, hashes: &[(String, u64)]) {
     std::fs::create_dir_all(path.parent().unwrap()).expect("create goldens dir");
     let mut text = String::from(
         "# FNV-1a 64 hashes of the Debug-level JSONL trace of each seeded golden\n\
-         # cell (fast path and reference path export identical bytes; the suite\n\
-         # asserts that separately). Regenerate with UASN_UPDATE_GOLDENS=1.\n",
+         # cell (sparse and dense cells also assert that profiling and monitoring\n\
+         # leave those bytes unchanged). Regenerate with UASN_UPDATE_GOLDENS=1.\n",
     );
     for (name, hash) in hashes {
         text.push_str(&format!("{name} {hash:016x}\n"));
@@ -158,31 +162,19 @@ fn write_goldens(density: &str, hashes: &[(String, u64)]) {
     std::fs::write(&path, text).unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
 }
 
-/// Runs the full roster at one density: asserts fast == reference bytes and
-/// checks (or, under `UASN_UPDATE_GOLDENS`, rewrites) the golden hashes.
+/// Runs the full roster at one density: asserts plain == profiled ==
+/// monitored bytes and checks (or, under `UASN_UPDATE_GOLDENS`, rewrites)
+/// the golden hashes.
 fn check_density(density: &str, sensors: u32) {
     let update = std::env::var_os("UASN_UPDATE_GOLDENS").is_some();
     let mut hashes = Vec::new();
     for (protocol, slug) in GOLDEN_PROTOCOLS {
         let cfg = golden_cfg(sensors);
-        let fast = trace_bytes(&cfg.clone().with_fastpath(true), protocol);
-        let profiled = trace_bytes(
-            &cfg.clone().with_fastpath(true).with_profiling(true),
-            protocol,
-        );
-        let reference = trace_bytes(&cfg.with_fastpath(false), protocol);
+        let fast = trace_bytes(&cfg, protocol);
+        let profiled = trace_bytes(&cfg.clone().with_profiling(true), protocol);
         assert!(
             !fast.is_empty(),
             "{slug}-{density}: empty trace — nothing was locked down"
-        );
-        assert!(
-            fast == reference,
-            "{slug}-{density}: fast path and reference traces differ \
-             (first divergence at byte {})",
-            fast.iter()
-                .zip(reference.iter())
-                .position(|(a, b)| a != b)
-                .unwrap_or_else(|| fast.len().min(reference.len()))
         );
         assert!(
             fast == profiled,
@@ -193,12 +185,7 @@ fn check_density(density: &str, sensors: u32) {
                 .position(|(a, b)| a != b)
                 .unwrap_or_else(|| fast.len().min(profiled.len()))
         );
-        let (monitored, online) = monitored_trace_bytes(
-            &golden_cfg(sensors)
-                .with_fastpath(true)
-                .with_monitoring(true),
-            protocol,
-        );
+        let (monitored, online) = monitored_trace_bytes(&cfg.with_monitoring(true), protocol);
         assert!(
             fast == monitored,
             "{slug}-{density}: enabling monitoring changed the trace \
@@ -259,44 +246,19 @@ fn swarm_cfg() -> SimConfig {
     cfg
 }
 
-/// Runs the roster at swarm density through three configurations — fast
-/// path with the spatial index, fast path without it, and the reference
-/// path — asserts all three export identical bytes, and checks (or, under
+/// Runs the roster at swarm density and checks (or, under
 /// `UASN_UPDATE_GOLDENS`, rewrites) the golden hashes.
 fn check_swarm() {
     let density = "swarm";
     let update = std::env::var_os("UASN_UPDATE_GOLDENS").is_some();
     let mut hashes = Vec::new();
     for (protocol, slug) in GOLDEN_PROTOCOLS {
-        let cfg = swarm_cfg();
-        let indexed = trace_bytes(&cfg.clone().with_spatial_index(true), protocol);
-        let unindexed = trace_bytes(&cfg.clone().with_spatial_index(false), protocol);
-        let reference = trace_bytes(&cfg.with_fastpath(false), protocol);
+        let trace = trace_bytes(&swarm_cfg(), protocol);
         assert!(
-            !indexed.is_empty(),
+            !trace.is_empty(),
             "{slug}-{density}: empty trace — nothing was locked down"
         );
-        assert!(
-            indexed == unindexed,
-            "{slug}-{density}: spatial index changed the trace \
-             (first divergence at byte {})",
-            indexed
-                .iter()
-                .zip(unindexed.iter())
-                .position(|(a, b)| a != b)
-                .unwrap_or_else(|| indexed.len().min(unindexed.len()))
-        );
-        assert!(
-            indexed == reference,
-            "{slug}-{density}: fast path and reference traces differ \
-             (first divergence at byte {})",
-            indexed
-                .iter()
-                .zip(reference.iter())
-                .position(|(a, b)| a != b)
-                .unwrap_or_else(|| indexed.len().min(reference.len()))
-        );
-        hashes.push((format!("{slug}-{density}"), fnv1a64(&indexed)));
+        hashes.push((format!("{slug}-{density}"), fnv1a64(&trace)));
     }
     if update {
         write_goldens(density, &hashes);

@@ -1,7 +1,8 @@
 //! End-to-end tests for the `uasn-lab` orchestration subsystem: the
 //! determinism contract (worker count and interrupt/resume splits are
-//! invisible in the results), journal damage tolerance, and panicked-cell
-//! recovery.
+//! invisible in the results), journal damage tolerance, panicked-cell
+//! recovery, and the rejection of a zero-seed sweep before anything is
+//! written.
 
 use std::path::PathBuf;
 
@@ -309,4 +310,41 @@ fn status_reports_progress_failures_and_damage() {
     assert!(report.dropped_partial);
     assert!(report.render().contains("truncated trailing record"));
     let _ = std::fs::remove_file(&journal);
+}
+
+#[test]
+fn zero_seed_sweep_is_rejected_before_writing_anything() {
+    let journal = tmp("zero-seeds");
+    let out = std::env::temp_dir().join(format!("uasn-lab-e2e-zero-out-{}", std::process::id()));
+    let _ = std::fs::remove_file(&journal);
+    let _ = std::fs::remove_dir_all(&out);
+    let err = run_sweep(
+        &[&TINY],
+        &SweepOptions {
+            seeds: 0,
+            journal: Some(journal.clone()),
+            quiet: true,
+            ..SweepOptions::default()
+        },
+    )
+    .map(|_| ())
+    .expect_err("a zero-seed sweep has no cells to report");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    assert!(!journal.exists(), "no journal for a rejected sweep");
+
+    // The same through the CLI: a nonzero exit, and no journal, CSV or
+    // manifest that could pass for a real result.
+    let status = std::process::Command::new(env!("CARGO_BIN_EXE_lab"))
+        .args(["run", "--figures", "fig6", "--seeds", "0", "--quiet"])
+        .arg("--journal")
+        .arg(&journal)
+        .arg("--out")
+        .arg(&out)
+        .status()
+        .expect("lab runs");
+    assert!(!status.success(), "lab run --seeds 0 must fail");
+    assert!(!journal.exists(), "no journal for a rejected sweep");
+    assert!(!out.join("F6.csv").exists(), "no figure CSV");
+    assert!(!out.join("F6.manifest.json").exists(), "no manifest");
+    let _ = std::fs::remove_dir_all(&out);
 }

@@ -2,7 +2,8 @@
 //! hand-rolled protocol [`uasn_lab::client`] speaks.
 //!
 //! Deliberately tiny: one request per connection (the server always
-//! answers `Connection: close`), bodies bounded by [`MAX_BODY_BYTES`],
+//! answers `Connection: close`), request and header lines bounded by
+//! [`MAX_LINE_BYTES`] and [`MAX_HEADERS`], bodies by [`MAX_BODY_BYTES`],
 //! JSON in and JSON out, plus a [`ChunkedWriter`] for the one endpoint
 //! that streams. No routing table, no keep-alive, no TLS — a lab service
 //! on a loopback interface, not a web framework.
@@ -15,6 +16,13 @@ use uasn_sim::json::JsonValue;
 /// Upper bound on request bodies; submissions are a few hundred bytes, so
 /// anything near this is a client bug, not a big sweep.
 pub const MAX_BODY_BYTES: usize = 1 << 20;
+
+/// Upper bound on the request line and on each header line, terminator
+/// included: a client that never sends a newline cannot grow the buffer.
+pub const MAX_LINE_BYTES: usize = 8 << 10;
+
+/// Upper bound on the number of header lines in one request.
+pub const MAX_HEADERS: usize = 64;
 
 /// A parsed request: method, percent-naive path, and raw body.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,11 +52,11 @@ impl Request {
 ///
 /// # Errors
 ///
-/// `InvalidData` on malformed request lines, oversized bodies, or
-/// non-numeric `Content-Length`; transport errors pass through.
+/// `InvalidData` on malformed request lines, lines longer than
+/// [`MAX_LINE_BYTES`], more than [`MAX_HEADERS`] headers, oversized bodies,
+/// or non-numeric `Content-Length`; transport errors pass through.
 pub fn read_request(stream: &mut BufReader<TcpStream>) -> io::Result<Request> {
-    let mut line = String::new();
-    stream.read_line(&mut line)?;
+    let line = read_line_bounded(stream)?;
     let mut parts = line.split_whitespace();
     let (Some(method), Some(target)) = (parts.next(), parts.next()) else {
         return Err(io::Error::new(
@@ -60,12 +68,19 @@ pub fn read_request(stream: &mut BufReader<TcpStream>) -> io::Result<Request> {
     let path = target.split('?').next().unwrap_or("").to_string();
 
     let mut content_length = 0usize;
+    let mut headers = 0usize;
     loop {
-        let mut header = String::new();
-        stream.read_line(&mut header)?;
+        let header = read_line_bounded(stream)?;
         let header = header.trim_end();
         if header.is_empty() {
             break;
+        }
+        headers += 1;
+        if headers > MAX_HEADERS {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("more than {MAX_HEADERS} header lines"),
+            ));
         }
         if let Some((name, value)) = header.split_once(':') {
             if name.trim().eq_ignore_ascii_case("content-length") {
@@ -87,6 +102,21 @@ pub fn read_request(stream: &mut BufReader<TcpStream>) -> io::Result<Request> {
     let mut body = vec![0u8; content_length];
     stream.read_exact(&mut body)?;
     Ok(Request { method, path, body })
+}
+
+/// Reads one line of at most [`MAX_LINE_BYTES`], terminator included.
+fn read_line_bounded(stream: &mut BufReader<TcpStream>) -> io::Result<String> {
+    let mut line = String::new();
+    stream
+        .take(MAX_LINE_BYTES as u64 + 1)
+        .read_line(&mut line)?;
+    if line.len() > MAX_LINE_BYTES {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("request or header line longer than {MAX_LINE_BYTES} bytes"),
+        ));
+    }
+    Ok(line)
 }
 
 /// The reason phrase for the status codes this server emits.
@@ -237,6 +267,37 @@ mod tests {
         assert!(
             round_trip(b"GET / HTTP/1.1\r\nContent-Length: nope\r\n\r\n").is_err(),
             "non-numeric length"
+        );
+    }
+
+    #[test]
+    fn rejects_overlong_lines_and_header_floods() {
+        let long = format!(
+            "GET / HTTP/1.1\r\nX-Pad: {}\r\n\r\n",
+            "a".repeat(MAX_LINE_BYTES)
+        );
+        let err = round_trip(long.as_bytes()).expect_err("over-long header line");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // The 400 the server answers with must not echo the line back.
+        assert!(err.to_string().len() < 100, "{err}");
+        let long_target = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(MAX_LINE_BYTES));
+        let err = round_trip(long_target.as_bytes()).expect_err("over-long request line");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let flood = format!(
+            "GET / HTTP/1.1\r\n{}\r\n",
+            "X-A: b\r\n".repeat(MAX_HEADERS + 1)
+        );
+        let err = round_trip(flood.as_bytes()).expect_err("too many headers");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // At the caps, a request still parses.
+        let at_cap = format!(
+            "GET / HTTP/1.1\r\nX-Pad: {}\r\n{}\r\n",
+            "a".repeat(MAX_LINE_BYTES - "X-Pad: \r\n".len()),
+            "X-A: b\r\n".repeat(MAX_HEADERS - 1)
+        );
+        assert_eq!(
+            round_trip(at_cap.as_bytes()).expect("at the caps").path,
+            "/"
         );
     }
 

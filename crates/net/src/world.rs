@@ -285,10 +285,11 @@ struct NetworkWorld {
     clock: SlotClock,
     spec: ModemSpec,
     channel: AcousticChannel,
-    /// Memoized per-transmitter link rows: every row is built once in
-    /// `Simulation::new` for the neighbour tables, then replayed by the
-    /// fast fan-out and degree queries until a mobility tick invalidates
-    /// it. The reference path (`cfg.fastpath = false`) never reads it.
+    /// Memoized per-transmitter link rows, the world's one link path:
+    /// every row is built once in `Simulation::new` for the neighbour
+    /// tables, then replayed by the fan-out and degree queries until a
+    /// mobility tick invalidates it. A spatial grid prunes each row build
+    /// whenever the PER model has a detection radius.
     link_cache: LinkBudgetCache,
     now: SimTime,
 
@@ -364,6 +365,10 @@ struct NetworkWorld {
     /// the registry it only *observes* losses the simulation has already
     /// decided, so runs are byte-identical with monitoring on or off.
     verdicts: Option<VerdictHistogram>,
+    /// Replace the cache fan-out and degree queries with the brute-force
+    /// O(N) scans the differential tests compare against (tests only).
+    #[cfg(test)]
+    reference: bool,
 }
 
 impl std::fmt::Debug for NetworkWorld {
@@ -632,59 +637,9 @@ impl NetworkWorld {
         // Every arrival shares this one stamped frame.
         let frame = Rc::new(frame);
 
-        // Fan out arrivals to every audible node. Both paths visit audible
-        // receivers in ascending index order and call the same arithmetic
-        // on the same `(distance, snr)` pairs, so the channel-RNG stream —
-        // and therefore the whole run — is bit-identical between them.
+        // Fan out arrivals to every audible node.
         debug_assert!(self.event_buf.is_empty());
-        let fanout: u64;
-        if self.cfg.fastpath {
-            self.link_cache
-                .ensure_row(&self.channel, &self.positions, node);
-            fanout = self.link_cache.row_len(node) as u64;
-            for k in 0..self.link_cache.row_len(node) {
-                let link = self.link_cache.link_at(node, k);
-                let pre_lost = !self.channel.draw_delivery_at(
-                    &mut self.channel_rng,
-                    link.distance_m,
-                    link.snr_db,
-                    frame.bits,
-                );
-                self.schedule_arrival(link.rx, &frame, token, link.delay, duration, pre_lost);
-                if let Some(echo_delay) = link.echo_delay {
-                    self.schedule_echo(link.rx, &frame, token, echo_delay, duration);
-                }
-            }
-        } else {
-            let src_pos = self.positions.get(node);
-            let mut degree = 0u64;
-            for j in 0..self.node_count() {
-                if j == node {
-                    continue;
-                }
-                let dst_pos = self.positions.get(j);
-                if !self.channel.is_audible(src_pos, dst_pos) {
-                    continue;
-                }
-                degree += 1;
-                let delay = self.channel.propagation_delay(src_pos, dst_pos);
-                let pre_lost = !self.channel.draw_delivery(
-                    &mut self.channel_rng,
-                    src_pos,
-                    dst_pos,
-                    frame.bits,
-                );
-                self.schedule_arrival(j as u32, &frame, token, delay, duration, pre_lost);
-
-                // Surface-bounce echo (when the channel models multipath):
-                // a delayed, data-less copy that occupies the receiver.
-                if self.channel.echo_audible(src_pos, dst_pos) {
-                    let echo_delay = self.channel.echo_delay(src_pos, dst_pos);
-                    self.schedule_echo(j as u32, &frame, token, echo_delay, duration);
-                }
-            }
-            fanout = degree;
-        }
+        let fanout = self.fan_out(node, &frame, token, duration);
         // One reserve + push pass for the whole fan-out instead of 2(+2)
         // heap pushes per receiver. The drain preserves push order, so the
         // queue assigns the same sequence numbers the per-call path would.
@@ -703,11 +658,42 @@ impl NetworkWorld {
         );
     }
 
+    /// Replays `node`'s cache row: one PER draw and one staged arrival (plus
+    /// its surface echo, if audible) per receiver, in ascending receiver
+    /// order. Returns the fan-out degree.
+    fn fan_out(
+        &mut self,
+        node: usize,
+        frame: &Rc<Frame>,
+        token: u64,
+        duration: SimDuration,
+    ) -> u64 {
+        #[cfg(test)]
+        if self.reference {
+            return self.reference_fan_out(node, frame, token, duration);
+        }
+        self.link_cache
+            .ensure_row(&self.channel, &self.positions, node);
+        for k in 0..self.link_cache.row_len(node) {
+            let link = self.link_cache.link_at(node, k);
+            let pre_lost = !self.channel.draw_delivery_at(
+                &mut self.channel_rng,
+                link.distance_m,
+                link.snr_db,
+                frame.bits,
+            );
+            self.schedule_arrival(link.rx, frame, token, link.delay, duration, pre_lost);
+            if let Some(echo_delay) = link.echo_delay {
+                self.schedule_echo(link.rx, frame, token, echo_delay, duration);
+            }
+        }
+        self.link_cache.row_len(node) as u64
+    }
+
     /// Books one direct-path reception: pending-rx slot plus its
     /// `RxStart`/`RxEnd` pair staged into [`Self::event_buf`] (the caller
     /// flushes the whole fan-out in one batch). Each booking still draws a
-    /// token, so transmission tokens keep the numbering the fast and
-    /// reference fan-outs share.
+    /// token, so transmission tokens keep their historical numbering.
     fn schedule_arrival(
         &mut self,
         rx_node: u32,
@@ -1390,36 +1376,26 @@ impl NetworkWorld {
         if scope == NeighborInfoScope::None {
             return 0;
         }
-        let degree = if self.cfg.fastpath {
-            // Build the row, not just its count: the node's next fan-out
-            // replays it.
-            self.link_cache
-                .ensure_row(&self.channel, &self.positions, node);
-            self.link_cache.row_len(node)
-        } else {
-            self.reference_degree(node)
-        };
-        degree as u64 * ANNOUNCE_BITS_PER_ENTRY
+        #[cfg(test)]
+        if self.reference {
+            return self.reference_degree(node) as u64 * ANNOUNCE_BITS_PER_ENTRY;
+        }
+        // Build the row, not just its count: the node's next fan-out
+        // replays it.
+        self.link_cache
+            .ensure_row(&self.channel, &self.positions, node);
+        self.link_cache.row_len(node) as u64 * ANNOUNCE_BITS_PER_ENTRY
     }
 
     /// How many nodes can hear `node` right now (its one-hop degree),
     /// counted without building a row that nothing will replay.
     fn audible_degree(&mut self, node: usize) -> usize {
-        if self.cfg.fastpath {
-            self.link_cache
-                .audible_degree(&self.channel, &self.positions, node)
-        } else {
-            self.reference_degree(node)
+        #[cfg(test)]
+        if self.reference {
+            return self.reference_degree(node);
         }
-    }
-
-    /// The one-hop degree by a full scan with the channel's own audibility
-    /// test (the `fastpath = false` reference).
-    fn reference_degree(&self, node: usize) -> usize {
-        let p = self.positions.get(node);
-        (0..self.node_count())
-            .filter(|&j| j != node && self.channel.is_audible(p, self.positions.get(j)))
-            .count()
+        self.link_cache
+            .audible_degree(&self.channel, &self.positions, node)
     }
 
     /// One resynchronization round: sample every node's sync error into the
@@ -1717,21 +1693,17 @@ impl Simulation {
             .collect();
 
         // Oracle neighbour installation (the Hello phase). Every node's
-        // link row is built exactly once, through the same cache the fast
+        // link row is built exactly once, through the same cache the
         // fan-out replays: the squared-distance cull, the exact audibility
         // check and the propagation delay in ascending receiver order. The
         // one-hop tables, the two-hop views (each neighbour's own row) and
-        // the hello sizes are all read from those rows. With the spatial
-        // index on, a row build visits only the 27-cell neighbourhood;
-        // every node it skips is provably inaudible, so the rows match the
-        // full O(N) scan's exactly.
+        // the hello sizes are all read from those rows. When the PER model
+        // has a detection radius, a row build visits only the grid's
+        // 27-cell neighbourhood; every node it skips is provably inaudible,
+        // so the rows match the full O(N) scan's exactly.
         let channel = cfg.channel.clone();
         let positions = PositionTable::from_points(&positions);
-        let mut link_cache = if cfg.spatial_index {
-            LinkBudgetCache::with_index(&channel, &positions)
-        } else {
-            LinkBudgetCache::new(&channel, n)
-        };
+        let mut link_cache = LinkBudgetCache::with_index(&channel, &positions);
         for i in 0..n {
             link_cache.ensure_row(&channel, &positions, i);
         }
@@ -1870,6 +1842,8 @@ impl Simulation {
             clock_stats: ClockStats::default(),
             registry: MetricsRegistry::new(cfg.profile),
             verdicts: cfg.monitor.then(VerdictHistogram::new),
+            #[cfg(test)]
+            reference: false,
             cfg,
         };
 
@@ -2150,6 +2124,57 @@ pub struct RunOutput {
     pub verdicts: Option<VerdictHistogram>,
 }
 
+/// The brute-force reference the differential tests hold the cache to:
+/// every transmission and degree query recomputes each pair's link budget
+/// from positions with the channel's own audibility test, over all nodes.
+#[cfg(test)]
+impl NetworkWorld {
+    /// The O(N) recompute fan-out. It visits audible receivers in ascending
+    /// index order and draws delivery from the same `(distance, snr)`
+    /// arithmetic as [`Self::fan_out`], so the channel-RNG stream — and the
+    /// whole run — must be bit-identical to the cache replay.
+    fn reference_fan_out(
+        &mut self,
+        node: usize,
+        frame: &Rc<Frame>,
+        token: u64,
+        duration: SimDuration,
+    ) -> u64 {
+        let src_pos = self.positions.get(node);
+        let mut degree = 0u64;
+        for j in 0..self.node_count() {
+            if j == node {
+                continue;
+            }
+            let dst_pos = self.positions.get(j);
+            if !self.channel.is_audible(src_pos, dst_pos) {
+                continue;
+            }
+            degree += 1;
+            let delay = self.channel.propagation_delay(src_pos, dst_pos);
+            let pre_lost =
+                !self
+                    .channel
+                    .draw_delivery(&mut self.channel_rng, src_pos, dst_pos, frame.bits);
+            self.schedule_arrival(j as u32, frame, token, delay, duration, pre_lost);
+            if self.channel.echo_audible(src_pos, dst_pos) {
+                let echo_delay = self.channel.echo_delay(src_pos, dst_pos);
+                self.schedule_echo(j as u32, frame, token, echo_delay, duration);
+            }
+        }
+        degree
+    }
+
+    /// The one-hop degree by a full scan with the channel's own audibility
+    /// test.
+    fn reference_degree(&self, node: usize) -> usize {
+        let p = self.positions.get(node);
+        (0..self.node_count())
+            .filter(|&j| j != node && self.channel.is_audible(p, self.positions.get(j)))
+            .count()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2377,52 +2402,124 @@ mod tests {
             .any(|&(k, c)| k == "sample" && c == 12));
     }
 
+    /// A run's Debug trace as JSONL text.
+    fn jsonl(out: &RunOutput) -> String {
+        out.tracer
+            .records()
+            .iter()
+            .map(|r| r.to_json_line())
+            .collect::<Vec<_>>()
+            .join("\n")
+    }
+
+    /// Builds `cfg`, switched to the brute-force reference scans when
+    /// `reference` is set.
+    fn build(cfg: SimConfig, factory: &MacFactory<'_>, reference: bool) -> Simulation {
+        let mut sim = Simulation::new(cfg, factory).unwrap();
+        sim.world.reference = reference;
+        sim
+    }
+
+    /// Runs `cfg` (Debug-traced) through the cache fan-out and through the
+    /// reference scans, asserts the reports and the trace bytes are
+    /// identical, and returns the cache run.
+    fn assert_matches_reference(
+        name: &str,
+        cfg: &SimConfig,
+        factory: &MacFactory<'_>,
+    ) -> RunOutput {
+        let run = |reference: bool| {
+            let out = build(cfg.clone(), factory, reference)
+                .with_tracing(TraceLevel::Debug)
+                .run_full();
+            assert!(out.tracer.health().is_lossless(), "{name}: trace dropped");
+            out
+        };
+        let fast = run(false);
+        let reference = run(true);
+        assert_eq!(fast.report, reference.report, "{name}");
+        assert!(
+            jsonl(&fast) == jsonl(&reference),
+            "{name}: cache and reference traces differ"
+        );
+        fast
+    }
+
     #[test]
     fn fastpath_and_reference_runs_are_identical() {
         // The whole optimisation contract in one assertion: caching and
-        // culling may not change any measured number.
-        for cfg in [
-            small_cfg(),
-            small_cfg().with_mobility(0.5),
-            SimConfig {
-                hello_init: true,
-                forwarding: true,
-                ..small_cfg()
-            },
+        // culling may not change any measured number or trace byte.
+        for (name, cfg) in [
+            ("static", small_cfg()),
+            ("mobile", small_cfg().with_mobility(0.5)),
+            (
+                "hello+forwarding",
+                SimConfig {
+                    hello_init: true,
+                    forwarding: true,
+                    ..small_cfg()
+                },
+            ),
         ] {
-            let fast = Simulation::new(cfg.clone().with_fastpath(true), &blast_factory)
-                .unwrap()
-                .run();
-            let reference = Simulation::new(cfg.with_fastpath(false), &blast_factory)
-                .unwrap()
-                .run();
-            assert_eq!(fast, reference);
+            assert_matches_reference(name, &cfg, &blast_factory);
         }
         // The default BlastMac pays no listening surcharge, so the runs
         // above never compare the `finalize` degree. A listening one does,
         // on a static world (fresh rows) and a mobile one (stale rows,
         // answered by the cache's count-only degree query).
         for (cfg, mobile) in [(small_cfg(), false), (small_cfg().with_mobility(0.5), true)] {
-            let run = |fastpath: bool, factory: &MacFactory<'_>| {
-                Simulation::new(
-                    cfg.clone().with_fastpath(fastpath).with_profiling(true),
-                    factory,
-                )
-                .unwrap()
-                .run_full()
-            };
-            let fast = run(true, &listening_blast_factory);
-            let reference = run(false, &listening_blast_factory);
-            assert_eq!(fast.report, reference.report);
-            let silent = run(true, &blast_factory);
+            let cfg = cfg.with_profiling(true);
+            let fast = assert_matches_reference("listening", &cfg, &listening_blast_factory);
+            let silent = Simulation::new(cfg, &blast_factory).unwrap().run();
             assert!(
-                fast.report.total_energy_j > silent.report.total_energy_j,
+                fast.report.total_energy_j > silent.total_energy_j,
                 "the surcharge is charged"
             );
             let profile = fast.profile.expect("profiling enabled");
             let counts = profile.metrics.counter("phy.cache.degree_counts");
             assert_eq!(counts > 0, mobile, "degree counts: {counts}");
         }
+    }
+
+    #[test]
+    fn swarm_mobile_fanout_matches_reference() {
+        // The swarm golden's geometry, mobile with 1 s ticks: the only
+        // scale at which nodes cross grid cells while the cache re-bins
+        // them, so the indexed row rebuilds are held to the O(N) scan.
+        let mut cfg = SimConfig::paper_default()
+            .with_sensors(1_000)
+            .with_offered_load_kbps(20.0)
+            .with_sim_time(SimDuration::from_secs(60))
+            .with_mobility(1.0);
+        cfg.mobility.update_interval = SimDuration::from_secs(1);
+        cfg.deployment = crate::topology::Deployment::LayeredColumn {
+            extent_m: 6_400.0,
+            layers: 20,
+            layer_spacing_m: 450.0,
+        };
+        let fast = assert_matches_reference("swarm", &cfg, &blast_factory);
+        assert!(fast.report.sdus_generated > 0, "traffic flowed");
+
+        let cell_m = cfg.channel.index_cell_m().expect("the paper PER indexes");
+        let cell = |p: Point| {
+            (
+                (p.x / cell_m).floor() as i64,
+                (p.y / cell_m).floor() as i64,
+                (p.z / cell_m).floor() as i64,
+            )
+        };
+        let mut sim = Simulation::new(cfg, &blast_factory).unwrap();
+        assert!(sim.world.link_cache.has_index());
+        let before: Vec<Point> = (0..sim.world.node_count())
+            .map(|i| sim.world.positions.get(i))
+            .collect();
+        sim.engine.run_profiled(&mut sim.world, sim.horizon);
+        let crossed = before
+            .iter()
+            .enumerate()
+            .filter(|&(i, &p)| cell(p) != cell(sim.world.positions.get(i)))
+            .count();
+        assert!(crossed > 0, "no node crossed a grid cell");
     }
 
     #[test]
@@ -2535,12 +2632,15 @@ mod tests {
         // The observability contract in one assertion: with profiling on,
         // the trace stream, the report, and every deterministic engine
         // statistic are byte-for-byte what the unprofiled run produces.
-        for cfg in [small_cfg(), small_cfg().with_fastpath(false)] {
+        for reference in [false, true] {
             let run = |profile: bool| {
-                Simulation::new(cfg.clone().with_profiling(profile), &blast_factory)
-                    .unwrap()
-                    .with_tracing(TraceLevel::Debug)
-                    .run_full()
+                build(
+                    small_cfg().with_profiling(profile),
+                    &blast_factory,
+                    reference,
+                )
+                .with_tracing(TraceLevel::Debug)
+                .run_full()
             };
             let plain = run(false);
             let profiled = run(true);
@@ -2556,14 +2656,6 @@ mod tests {
                 profiled.stats.peak_queue_depth
             );
             assert_eq!(plain.stats.kind_counts, profiled.stats.kind_counts);
-            let jsonl = |out: &RunOutput| {
-                out.tracer
-                    .records()
-                    .iter()
-                    .map(|r| r.to_json_line())
-                    .collect::<Vec<_>>()
-                    .join("\n")
-            };
             assert_eq!(jsonl(&plain), jsonl(&profiled));
             assert!(plain.profile.is_none());
             assert!(profiled.profile.is_some());
@@ -2576,12 +2668,15 @@ mod tests {
         // the simulation already decided, so with monitoring on the trace
         // stream, the report, and the engine statistics are byte-for-byte
         // what the unmonitored run produces — plus a verdict histogram.
-        for cfg in [small_cfg(), small_cfg().with_fastpath(false)] {
+        for reference in [false, true] {
             let run = |monitor: bool| {
-                Simulation::new(cfg.clone().with_monitoring(monitor), &blast_factory)
-                    .unwrap()
-                    .with_tracing(TraceLevel::Debug)
-                    .run_full()
+                build(
+                    small_cfg().with_monitoring(monitor),
+                    &blast_factory,
+                    reference,
+                )
+                .with_tracing(TraceLevel::Debug)
+                .run_full()
             };
             let plain = run(false);
             let monitored = run(true);
@@ -2593,14 +2688,6 @@ mod tests {
             assert_eq!(plain.stats.sim_end, monitored.stats.sim_end);
             assert_eq!(plain.stats.stop_reason, monitored.stats.stop_reason);
             assert_eq!(plain.stats.kind_counts, monitored.stats.kind_counts);
-            let jsonl = |out: &RunOutput| {
-                out.tracer
-                    .records()
-                    .iter()
-                    .map(|r| r.to_json_line())
-                    .collect::<Vec<_>>()
-                    .join("\n")
-            };
             assert_eq!(jsonl(&plain), jsonl(&monitored));
             assert!(plain.verdicts.is_none());
             // Every counted loss reconciles against the delivery counters:
@@ -2658,8 +2745,8 @@ mod tests {
                 .map(|&(_, v)| v)
                 .unwrap_or(0)
         };
-        // The default config runs the fastpath, so every tx after the first
-        // hits the cached row and the static topology never invalidates.
+        // Every tx after the first hits the cached row and the static
+        // topology never invalidates.
         assert!(counter("phy.cache.misses") > 0);
         assert!(counter("phy.cache.hits") > 0);
         assert_eq!(counter("phy.cache.invalidations"), 0);
@@ -2928,31 +3015,13 @@ mod tests {
     type Table = Vec<(NodeId, SimDuration)>;
 
     /// Brute-force reference for the oracle neighbour tables: full
-    /// `is_audible` plus `propagation_delay` over the spatial-grid
-    /// candidates (when the config indexes and the PER model has a
-    /// detection radius) or over all nodes, with no cache involved.
+    /// `is_audible` plus `propagation_delay` over all nodes, with no cache
+    /// and no grid involved.
     fn brute_force_tables(cfg: &SimConfig, positions: &[Point]) -> Vec<Table> {
-        use uasn_phy::grid::SpatialGrid;
         let channel = &cfg.channel;
-        let grid = if cfg.spatial_index {
-            channel
-                .index_cell_m()
-                .map(|cell| SpatialGrid::build(cell, positions))
-        } else {
-            None
-        };
         (0..positions.len())
             .map(|i| {
-                let candidates: Vec<usize> = match &grid {
-                    Some(grid) => {
-                        let mut cand = Vec::new();
-                        grid.candidates_into(positions[i], &mut cand);
-                        cand.into_iter().map(|j| j as usize).collect()
-                    }
-                    None => (0..positions.len()).collect(),
-                };
-                candidates
-                    .into_iter()
+                (0..positions.len())
                     .filter(|&j| j != i && channel.is_audible(positions[i], positions[j]))
                     .map(|j| {
                         (
@@ -3078,41 +3147,37 @@ mod tests {
             ("modulation", oracle_cfg(40, modulation)),
             ("mobile", oracle_cfg(300, paper.clone()).with_mobility(1.0)),
         ];
-        for (name, base) in worlds {
-            for indexed in [true, false] {
-                let cfg = base.clone().with_spatial_index(indexed);
-                let (sim, installed) = build_recorded(cfg.clone(), NeighborInfoScope::TwoHop);
-                let world = &sim.world;
-                assert_eq!(
-                    world.link_cache.has_index(),
-                    indexed && cfg.channel.index_cell_m().is_some(),
-                    "{name}"
-                );
-                let positions: Vec<Point> = (0..world.node_count())
-                    .map(|i| world.positions.get(i))
+        for (name, cfg) in worlds {
+            let (sim, installed) = build_recorded(cfg.clone(), NeighborInfoScope::TwoHop);
+            let world = &sim.world;
+            assert_eq!(
+                world.link_cache.has_index(),
+                name != "modulation",
+                "{name}: only a PER model without a detection radius goes unindexed"
+            );
+            let positions: Vec<Point> = (0..world.node_count())
+                .map(|i| world.positions.get(i))
+                .collect();
+            let oracle = brute_force_tables(&cfg, &positions);
+            let mut culled = false;
+            for (i, got) in installed.iter().enumerate() {
+                let want = &oracle[i];
+                culled |= want.len() + 1 < positions.len();
+                // `SimDuration` equality is exact: delays match to the
+                // microsecond tick, not within a tolerance.
+                assert_eq!(got.neighbors.as_ref(), Some(want), "{name} node {i}");
+                let two_hop: Vec<(NodeId, Table)> = want
+                    .iter()
+                    .map(|&(j, _)| (j, oracle[j.index()].clone()))
                     .collect();
-                let oracle = brute_force_tables(&cfg, &positions);
-                let mut culled = false;
-                for (i, got) in installed.iter().enumerate() {
-                    let want = &oracle[i];
-                    culled |= want.len() + 1 < positions.len();
-                    // `SimDuration` equality is exact: delays match to the
-                    // microsecond tick, not within a tolerance.
-                    assert_eq!(got.neighbors.as_ref(), Some(want), "{name} node {i}");
-                    let two_hop: Vec<(NodeId, Table)> = want
-                        .iter()
-                        .map(|&(j, _)| (j, oracle[j.index()].clone()))
-                        .collect();
-                    assert_eq!(got.two_hop.as_ref(), Some(&two_hop), "{name} node {i}");
-                    let hello =
-                        cfg.control_bits as u64 + want.len() as u64 * ANNOUNCE_BITS_PER_ENTRY;
-                    assert_eq!(
-                        world.metrics.per_node[i].maintenance_bits, hello,
-                        "{name} node {i}"
-                    );
-                }
-                assert_eq!(culled, name != "modulation", "{name}: out-of-range pairs");
+                assert_eq!(got.two_hop.as_ref(), Some(&two_hop), "{name} node {i}");
+                let hello = cfg.control_bits as u64 + want.len() as u64 * ANNOUNCE_BITS_PER_ENTRY;
+                assert_eq!(
+                    world.metrics.per_node[i].maintenance_bits, hello,
+                    "{name} node {i}"
+                );
             }
+            assert_eq!(culled, name != "modulation", "{name}: out-of-range pairs");
         }
     }
 
@@ -3125,16 +3190,12 @@ mod tests {
             NeighborInfoScope::OneHop,
             NeighborInfoScope::TwoHop,
         ] {
-            for indexed in [true, false] {
-                let cfg =
-                    oracle_cfg(200, AcousticChannel::paper_default()).with_spatial_index(indexed);
-                let (sim, _) = build_recorded(cfg, scope);
-                let n = sim.world.node_count() as u64;
-                let stats = sim.world.link_cache.stats();
-                assert_eq!(stats.misses, n, "{scope:?} indexed={indexed}");
-                assert_eq!(stats.hits, 0, "{scope:?} indexed={indexed}");
-                assert_eq!(stats.invalidations, 0);
-            }
+            let (sim, _) = build_recorded(oracle_cfg(200, AcousticChannel::paper_default()), scope);
+            let n = sim.world.node_count() as u64;
+            let stats = sim.world.link_cache.stats();
+            assert_eq!(stats.misses, n, "{scope:?}");
+            assert_eq!(stats.hits, 0, "{scope:?}");
+            assert_eq!(stats.invalidations, 0);
         }
     }
 }
